@@ -34,7 +34,6 @@ from .transform import (
 class CertificateRule(Enum):
     KAWAMATA_VIEHWEG = "kawamata_viehweg"
     DEMAZURE = "demazure"
-    KODAIRA_REGION = "kodaira_region"
     NONE = "none"
 
 
@@ -97,8 +96,9 @@ def certify_vanishing(surface: SurfaceModel, d_nef: DivisorClass) -> VanishingCe
     """Vanishing certificate for the higher cohomology of a nef class.
 
     Toric surfaces with complete fans and del Pezzo surfaces are certified
-    outright; otherwise the shifted class d - K must be nef and big, or
-    ample in the Nakai-Moishezon sense against the listed Mori generators.
+    outright; otherwise the shifted class d - K must be nef and big
+    (Kawamata-Viehweg). A shifted class that is ample in the
+    Nakai-Moishezon sense is nef and big, so needs no separate rule.
     """
     if not is_nef(surface, d_nef):
         raise NotNefError(f"class {d_nef} is not nef on {surface.name!r}")
@@ -118,13 +118,6 @@ def certify_vanishing(surface: SurfaceModel, d_nef: DivisorClass) -> VanishingCe
         return VanishingCertificate(
             CertificateRule.KAWAMATA_VIEHWEG,
             f"d - K is nef with (d - K)^2 = {shifted_sq} > 0",
-        )
-    if shifted_sq > 0 and all(
-        intersect(surface, shifted, g) > 0 for g in surface.mori_generators
-    ):
-        return VanishingCertificate(
-            CertificateRule.KODAIRA_REGION,
-            "d - K is ample: positive against every Mori generator with positive square",
         )
     return VanishingCertificate(
         CertificateRule.NONE,

@@ -1,14 +1,15 @@
 """Rational polyhedral cones with exact membership testing.
 
-Membership in the non-negative span of a generator list is decided by a
-phase-1 simplex over exact rationals with Bland's rule, so answers on the
-cone boundary are exact. Problem sizes here are tiny (rank <= 9, at most a
+Membership in the non-negative span of a generator list is decided by an
+exact phase-1 simplex with integer-preserving (fraction-free) pivoting:
+the tableau holds integers over one common denominator, and every pivot
+divides exactly, so answers on the cone boundary are exact without any
+rational arithmetic. Problem sizes here are tiny (rank <= 9, at most a
 few hundred generators), which keeps the dense tableau cheap.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
@@ -17,11 +18,16 @@ from .lattice import DivisorClass
 
 
 class Cone:
-    """V-representation of a rational polyhedral cone."""
+    """V-representation of a rational polyhedral cone.
 
-    __slots__ = ("generators",)
+    ``_coefficients`` holds the generators' coefficient vectors, built once
+    here because every membership test keys its memo on them.
+    """
+
+    __slots__ = ("generators", "_coefficients")
 
     generators: tuple[DivisorClass, ...]
+    _coefficients: tuple[tuple[int, ...], ...]
 
     def __init__(self, generators: Iterable[DivisorClass]):
         gens = tuple(
@@ -35,6 +41,7 @@ class Cone:
                 if g.is_zero:
                     raise ValueError("cone generators must be nonzero")
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "_coefficients", tuple(g.coefficients for g in gens))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cone is immutable")
@@ -63,12 +70,20 @@ def cone_contains(cone: Cone, d: DivisorClass) -> bool:
         )
     if d.is_zero:
         return True
-    return _nonnegative_combination_exists(
-        tuple(g.coefficients for g in cone.generators), d.coefficients
-    )
+    return _nonnegative_combination_exists(cone._coefficients, d.coefficients)
 
 
-@lru_cache(maxsize=None)
+# Entries kept by the decision memo. Bounded, so that a long scan does not
+# grow one entry per class without limit; large enough that a repeat pass
+# over a workload's distinct decisions (a few thousand) stays in the memo.
+_MEMO_SIZE = 2**15
+
+# Dantzig's rule is allowed _STALL_FACTOR * (m + n + 5) consecutive pivots
+# that leave the objective unchanged before Bland's rule takes over.
+_STALL_FACTOR = 2
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _nonnegative_combination_exists(
     generators: tuple[tuple[int, ...], ...], target: tuple[int, ...]
 ) -> bool:
@@ -77,39 +92,43 @@ def _nonnegative_combination_exists(
     Phase-1 simplex: minimise the sum of one artificial variable per
     coordinate; feasible iff the optimum is zero. Pivots follow Dantzig's
     rule for speed, falling back to Bland's rule permanently once the
-    objective stalls, which rules out cycling.
+    objective stalls, which rules out cycling; ratio ties go to the lower
+    basis index.
+
+    The tableau and cost row are integers scaled by one common positive
+    denominator ``det``, the determinant of the current basis (the last
+    pivot). A pivot on ``p`` keeps the pivot row and turns every entry
+    ``x`` of another row into ``(x * p - f * y) // det``, with ``f`` the
+    row's entry in the entering column and ``y`` the pivot row's entry in
+    the column of ``x``; the division is exact (Bareiss). Scaled values are
+    compared by cross-multiplication, so the pivots are those of the same
+    simplex over exact rationals.
     """
     n = len(target)
     m = len(generators)
     if m == 0:
         return all(t == 0 for t in target)
 
-    zero = Fraction(0)
-    one = Fraction(1)
     ncols = m + n
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     for j in range(n):
         sign = -1 if target[j] < 0 else 1
-        row = [Fraction(sign * g[j]) for g in generators]
-        row.extend(one if k == j else zero for k in range(n))
-        row.append(Fraction(sign * target[j]))
+        row = [sign * g[j] for g in generators]
+        row.extend(1 if k == j else 0 for k in range(n))
+        row.append(sign * target[j])
         tableau.append(row)
     basis = [m + j for j in range(n)]
 
     # Reduced costs for minimising the artificial sum; artificials start basic.
-    # cost[ncols] tracks minus the current objective value.
-    cost = [zero] * (ncols + 1)
-    for q in range(ncols + 1):
-        acc = zero
-        for j in range(n):
-            acc -= tableau[j][q]
-        if m <= q < ncols:
-            acc += one
-        cost[q] = acc
+    # cost[ncols] tracks minus the current objective value, times det.
+    cost = [-sum(column) for column in zip(*tableau)]
+    for q in range(m, ncols):
+        cost[q] += 1
+    det = 1
 
     use_bland = False
     stalled = 0
-    stall_limit = 2 * (m + n) + 10
+    stall_limit = _STALL_FACTOR * (m + n + 5)
     while True:
         entering = -1
         if use_bland:
@@ -118,53 +137,47 @@ def _nonnegative_combination_exists(
                     entering = q
                     break
         else:
-            worst = zero
-            for q in range(ncols):
-                if cost[q] < worst:
-                    worst = cost[q]
-                    entering = q
+            worst = min(cost[:ncols])
+            if worst < 0:
+                entering = cost.index(worst)
         if entering < 0:
             return cost[ncols] == 0
+        # Ratio test on rhs / a, compared as rhs * best_a against best_rhs * a.
         leaving = -1
-        best: Fraction | None = None
+        best_rhs = best_a = 0
         for j in range(n):
-            a = tableau[j][entering]
+            row = tableau[j]
+            a = row[entering]
             if a > 0:
-                ratio = tableau[j][ncols] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[j] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = j
+                rhs = row[ncols]
+                if leaving >= 0:
+                    lhs, bound = rhs * best_a, best_rhs * a
+                    if lhs > bound or (lhs == bound and basis[j] > basis[leaving]):
+                        continue
+                leaving, best_rhs, best_a = j, rhs, a
         if leaving < 0:
             raise ArithmeticError("phase-1 simplex unbounded; tableau corrupt")
         pivot_row = tableau[leaving]
-        pivot = pivot_row[entering]
-        if pivot != 1:
-            for idx in range(ncols + 1):
-                if pivot_row[idx]:
-                    pivot_row[idx] /= pivot
-        nonzero = [(idx, y) for idx, y in enumerate(pivot_row) if y]
+        p = best_a
         for j in range(n):
             if j == leaving:
                 continue
             row = tableau[j]
             f = row[entering]
             if f:
-                for idx, y in nonzero:
-                    row[idx] -= f * y
+                tableau[j] = [(x * p - f * y) // det for x, y in zip(row, pivot_row)]
+            elif p != det:
+                tableau[j] = [x * p // det for x in row]
         f = cost[entering]
         previous_objective = cost[ncols]
-        if f:
-            for idx, y in nonzero:
-                cost[idx] -= f * y
+        cost = [(x * p - f * y) // det for x, y in zip(cost, pivot_row)]
         basis[leaving] = entering
         if not use_bland:
-            if cost[ncols] == previous_objective:
+            # Same objective value: cost[ncols] / p == previous_objective / det.
+            if cost[ncols] * det == previous_objective * p:
                 stalled += 1
                 if stalled > stall_limit:
                     use_bland = True
             else:
                 stalled = 0
+        det = p

@@ -137,12 +137,18 @@ class IntersectionForm:
             raise RankMismatchError(
                 f"form has rank {n} but classes have ranks {len(d)} and {len(e)}"
             )
-        total = 0
-        for i, di in enumerate(d.coefficients):
-            if di:
-                row = self.matrix[i]
-                total += di * sum(m * ej for m, ej in zip(row, e.coefficients))
-        return total
+        return sum(map(operator.mul, self.dual(d), e.coefficients))
+
+    def dual(self, d: DivisorClass) -> tuple[int, ...]:
+        """The vector M·d, so that d.e = sum(M·d[i] * e[i]) for every class e.
+
+        Computing it once turns each further intersection with d into a
+        rank-length dot product instead of a rank x rank sum.
+        """
+        if len(d) != self.rank:
+            raise RankMismatchError(f"form has rank {self.rank} but class has rank {len(d)}")
+        coeffs = d.coefficients
+        return tuple(sum(map(operator.mul, row, coeffs)) for row in self.matrix)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntersectionForm):

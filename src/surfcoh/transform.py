@@ -9,7 +9,7 @@ step-by-step history is kept as a TransformTrace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import mul
 
 from .cones import Cone, cone_contains
 from .errors import ConsistencyError, NonAbutmentError, NotEffectiveError
@@ -87,15 +87,25 @@ class TransformTrace:
         return lines
 
 
-@lru_cache(maxsize=None)
 def _effective_cone(surface: SurfaceModel) -> Cone:
-    return Cone(surface.effective_generators)
+    """The surface's effective cone, built on first use and kept on the surface.
+
+    It is stored as a plain instance attribute, not a dataclass field, so
+    that a lookup does not hash the whole surface, and equality, hashing
+    and repr of the surface are unaffected.
+    """
+    cone = surface.__dict__.get("_effective_cone")
+    if cone is None:
+        cone = Cone(surface.effective_generators)
+        object.__setattr__(surface, "_effective_cone", cone)
+    return cone
 
 
 def is_nef(surface: SurfaceModel, d: DivisorClass) -> bool:
     """Non-negative against every Mori generator."""
     _require_rank(surface, d)
-    return all(intersect(surface, d, g) >= 0 for g in surface.mori_generators)
+    dual = surface.form.dual(d)
+    return all(sum(map(mul, dual, g.coefficients)) >= 0 for g in surface.mori_generators)
 
 
 def is_effective(surface: SurfaceModel, d: DivisorClass) -> bool:
@@ -105,9 +115,10 @@ def is_effective(surface: SurfaceModel, d: DivisorClass) -> bool:
 
 
 def _fixed_part(surface: SurfaceModel, d: DivisorClass) -> FixedPart:
+    dual = surface.form.dual(d)
     terms = []
     for curve in surface.negative_curves:
-        product = intersect(surface, d, curve)
+        product = sum(map(mul, dual, curve.coefficients))
         if product < 0:
             self_int = intersect(surface, curve, curve)
             # ceil(a / b) for positive integers a = -product, b = -self_int

@@ -1,0 +1,238 @@
+"""The integer-pivoting simplex behind cone membership, against a rational reference.
+
+``reference_decision`` is the same phase-1 simplex written over
+``Fraction``: the same pivot rules (Dantzig, then Bland once the objective
+stalls; ratio ties to the lower basis index), but every entry an exact
+rational. The library's fraction-free simplex must reach the same decision
+on every input.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import gdp2_surface, sampled_box_classes, sampled_effective_classes
+from surfcoh import Cone, DivisorClass, make_del_pezzo, make_hirzebruch
+from surfcoh import cones
+
+simplex = cones._nonnegative_combination_exists.__wrapped__
+
+
+def reference_decision(
+    generators: tuple[tuple[int, ...], ...],
+    target: tuple[int, ...],
+    stall_factor: int = 2,
+) -> tuple[bool, bool]:
+    """(feasible, whether Bland's rule was reached) over exact rationals."""
+    n = len(target)
+    m = len(generators)
+    if m == 0:
+        return all(t == 0 for t in target), False
+
+    zero = Fraction(0)
+    one = Fraction(1)
+    ncols = m + n
+    tableau: list[list[Fraction]] = []
+    for j in range(n):
+        sign = -1 if target[j] < 0 else 1
+        row = [Fraction(sign * g[j]) for g in generators]
+        row.extend(one if k == j else zero for k in range(n))
+        row.append(Fraction(sign * target[j]))
+        tableau.append(row)
+    basis = [m + j for j in range(n)]
+
+    cost = [zero] * (ncols + 1)
+    for q in range(ncols + 1):
+        acc = zero
+        for j in range(n):
+            acc -= tableau[j][q]
+        if m <= q < ncols:
+            acc += one
+        cost[q] = acc
+
+    use_bland = False
+    stalled = 0
+    stall_limit = stall_factor * (m + n + 5)
+    while True:
+        entering = -1
+        if use_bland:
+            for q in range(ncols):
+                if cost[q] < 0:
+                    entering = q
+                    break
+        else:
+            worst = zero
+            for q in range(ncols):
+                if cost[q] < worst:
+                    worst = cost[q]
+                    entering = q
+        if entering < 0:
+            return cost[ncols] == 0, use_bland
+        leaving = -1
+        best: Fraction | None = None
+        for j in range(n):
+            a = tableau[j][entering]
+            if a > 0:
+                ratio = tableau[j][ncols] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[j] < basis[leaving])
+                ):
+                    best = ratio
+                    leaving = j
+        pivot_row = tableau[leaving]
+        pivot = pivot_row[entering]
+        for idx in range(ncols + 1):
+            pivot_row[idx] /= pivot
+        for j in range(n):
+            if j == leaving:
+                continue
+            row = tableau[j]
+            f = row[entering]
+            if f:
+                for idx in range(ncols + 1):
+                    row[idx] -= f * pivot_row[idx]
+        f = cost[entering]
+        previous_objective = cost[ncols]
+        for idx in range(ncols + 1):
+            cost[idx] -= f * pivot_row[idx]
+        basis[leaving] = entering
+        if not use_bland:
+            if cost[ncols] == previous_objective:
+                stalled += 1
+                if stalled > stall_limit:
+                    use_bland = True
+            else:
+                stalled = 0
+
+
+def _key(surface) -> tuple[tuple[int, ...], ...]:
+    return tuple(g.coefficients for g in surface.effective_generators)
+
+
+def box_cases():
+    """Every class of the [-4, 4] boxes of dp1..dp3, f0..f4 and gdp2."""
+    surfaces = [make_del_pezzo(k) for k in (1, 2, 3)]
+    surfaces += [make_hirzebruch(n) for n in range(5)] + [gdp2_surface()]
+    for surface in surfaces:
+        key = _key(surface)
+        for coeffs in itertools.product(range(-4, 5), repeat=surface.rank):
+            yield key, coeffs
+
+
+# Seeded dP4..dP8 classes: Mori combinations and box classes, half each.
+SAMPLED = {4: 120, 5: 60, 6: 30, 7: 16, 8: 8}
+
+
+def sampled_cases():
+    for k, count in SAMPLED.items():
+        surface = make_del_pezzo(k)
+        key = _key(surface)
+        effective = sampled_effective_classes(surface, count // 2, f"cones-eff-{k}")
+        box = sampled_box_classes(surface.rank, count // 2, f"cones-box-{k}")
+        for d in effective + box:
+            yield key, d.coefficients
+
+
+@pytest.fixture(scope="module")
+def catalog_cases():
+    cases = list(box_cases()) + list(sampled_cases())
+    return [(key, target, reference_decision(key, target)) for key, target in cases]
+
+
+@pytest.fixture
+def fresh_memo():
+    cones._nonnegative_combination_exists.cache_clear()
+    yield
+    cones._nonnegative_combination_exists.cache_clear()
+
+
+class TestAgainstRationalReference:
+    def test_catalog_boxes_and_samples(self, catalog_cases):
+        disagreements = [
+            (key, target)
+            for key, target, (expected, _) in catalog_cases
+            if simplex(key, target) != expected
+        ]
+        assert len(catalog_cases) > 8000
+        assert disagreements == []
+
+    def test_bland_fallback_keeps_decisions(self, catalog_cases, monkeypatch, fresh_memo):
+        # With no stall allowance, the first degenerate pivot switches to
+        # Bland's rule for good; decisions must not change.
+        monkeypatch.setattr(cones, "_STALL_FACTOR", 0)
+        switched = 0
+        for key, target, (expected, _) in catalog_cases:
+            decision, used_bland = reference_decision(key, target, stall_factor=0)
+            switched += used_bland
+            assert decision == expected
+            assert cones.cone_contains(Cone(key), DivisorClass(target)) == expected
+        # The rational reference shares the library's pivot sequence, so
+        # this counts the library's switches to Bland's rule too.
+        assert switched > 100
+
+    def test_memo_is_bounded(self):
+        maxsize = cones._nonnegative_combination_exists.cache_info().maxsize
+        assert maxsize is not None
+        # Well above the distinct decisions of a repeated scan part, so that
+        # a cyclic repeat pass is served from the memo.
+        assert maxsize >= 2**14
+
+
+def _generator_sets():
+    """Small generator lists with repeats, multiples and opposite vectors."""
+    coordinate = st.integers(-2, 2)
+
+    @st.composite
+    def build(draw):
+        rank = draw(st.integers(1, 4))
+        vector = st.lists(coordinate, min_size=rank, max_size=rank).filter(any)
+        base = draw(st.lists(vector, min_size=1, max_size=5))
+        gens = list(base)
+        for g in draw(st.lists(st.sampled_from(base), max_size=3)):
+            scale = draw(st.sampled_from((1, 2, 3, -1)))
+            gens.append([scale * x for x in g])
+        gens = draw(st.permutations(gens))
+        # Targets: zero-heavy coordinates, or sums of generators (boundary points).
+        if draw(st.booleans()):
+            target = draw(
+                st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=rank, max_size=rank)
+            )
+        else:
+            picked = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+            target = [sum(col) for col in zip(*picked)]
+        return tuple(tuple(g) for g in gens), tuple(target)
+
+    return build()
+
+
+class TestDegenerateInputs:
+    @given(_generator_sets())
+    def test_matches_reference(self, case):
+        generators, target = case
+        assert simplex(generators, target) == reference_decision(generators, target)[0]
+
+    @given(_generator_sets())
+    def test_matches_reference_under_bland(self, case):
+        generators, target = case
+        expected = reference_decision(generators, target, stall_factor=0)[0]
+        original = cones._STALL_FACTOR
+        cones._STALL_FACTOR = 0
+        try:
+            assert simplex(generators, target) == expected
+        finally:
+            cones._STALL_FACTOR = original
+
+    def test_collinear_and_opposite_generators(self):
+        gens = ((1, 0), (2, 0), (-1, 0), (0, 1))
+        assert simplex(gens, (0, 0))
+        assert simplex(gens, (-3, 5))
+        assert not simplex(gens, (0, -1))
+        assert simplex(((1, 1), (2, 2)), (3, 3))
+        assert not simplex(((1, 1), (2, 2)), (3, 2))

@@ -57,6 +57,15 @@ class TestIsEffective:
     def test_gdp2_zero(self):
         assert is_effective(gdp2_surface(), D.zero(3))
 
+    def test_kept_cone_leaves_surface_identity(self):
+        # The effective cone is kept on the surface after first use; the
+        # surface must still equal, hash and print like one never queried.
+        used, fresh = make_hirzebruch(3), make_hirzebruch(3)
+        assert is_effective(used, D([1, 1]))
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
 
 class TestStep:
     def test_dp1_removes_exceptional_curve(self):
