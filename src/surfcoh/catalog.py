@@ -112,39 +112,30 @@ def _int_matrix(value, field: str) -> tuple[tuple[int, ...], ...]:
 def load_surface(spec: SurfaceSpec, strict: bool = False) -> SurfaceModel:
     """Validate a SurfaceSpec and build the corresponding SurfaceModel.
 
-    Checks symmetry of the pairing, lengths of all vectors, negativity of
-    every listed curve, and evenness of d.(d - K) on the lattice basis
-    (which forces it on the whole lattice). With ``strict`` the pairing
-    must additionally be unimodular-signature (1, rank - 1), the Hodge
-    index constraint, verified by exact congruent diagonalization.
+    The model checks symmetry of the pairing, lengths of all vectors and
+    negativity of every listed curve; this adds evenness of d.(d - K) on
+    the lattice basis (which forces it on the whole lattice) and on every
+    listed vector. With ``strict`` the pairing must additionally be
+    unimodular-signature (1, rank - 1), the Hodge index constraint,
+    verified by exact congruent diagonalization.
     """
-    rank = _int_scalar(spec.rank, "rank")
-    if rank <= 0:
-        raise SpecValidationError("rank", "rank must be a positive integer")
-    if len(spec.intersection_matrix) != rank:
-        raise SpecValidationError(
-            "intersection_matrix", f"expected {rank} rows, got {len(spec.intersection_matrix)}"
-        )
-    form = IntersectionForm(spec.intersection_matrix)  # symmetry / squareness
-    if len(spec.canonical_class) != rank:
-        raise SpecValidationError("canonical_class", f"expected length {rank}")
-    for field_name, vectors in (
-        ("negative_curves", spec.negative_curves),
-        ("mori_generators", spec.mori_generators),
-        ("effective_generators", spec.effective_generators),
-    ):
-        for v in vectors:
-            if len(v) != rank:
-                raise SpecValidationError(field_name, f"vector {list(v)} is not length {rank}")
-    canonical = DivisorClass(spec.canonical_class)
-    for v in spec.negative_curves:
-        curve = DivisorClass(v)
-        self_int = form.pairing(curve, curve)
-        if self_int >= 0:
-            raise SpecValidationError(
-                "negative_curves",
-                f"curve {list(v)} has self-intersection {self_int} >= 0",
-            )
+    try:
+        regime = Regime(spec.regime)
+    except ValueError:
+        valid = ", ".join(r.value for r in Regime)
+        raise SpecValidationError("regime", f"{spec.regime!r} is not one of: {valid}") from None
+    surface = SurfaceModel(
+        name=spec.name,
+        rank=_int_scalar(spec.rank, "rank"),
+        form=IntersectionForm(spec.intersection_matrix),
+        canonical_class=DivisorClass(spec.canonical_class),
+        chi_structure_sheaf=spec.chi_structure_sheaf,
+        negative_curves=tuple(DivisorClass(v) for v in spec.negative_curves),
+        mori_generators=tuple(DivisorClass(v) for v in spec.mori_generators),
+        effective_generators=tuple(DivisorClass(v) for v in spec.effective_generators),
+        regime=regime,
+    )
+    rank, form, canonical = surface.rank, surface.form, surface.canonical_class
     # Parity of d.(d-K) is additive mod 2, so checking basis vectors covers the lattice.
     for i in range(rank):
         basis_vec = DivisorClass(1 if j == i else 0 for j in range(rank))
@@ -154,22 +145,12 @@ def load_surface(spec: SurfaceSpec, strict: bool = False) -> SurfaceModel:
                 "canonical_class",
                 f"d.(d - K) is odd on basis vector {i}; lattice data is inconsistent",
             )
-    for field_name, vectors in (
-        ("negative_curves", spec.negative_curves),
-        ("mori_generators", spec.mori_generators),
-        ("effective_generators", spec.effective_generators),
-    ):
-        for v in vectors:
-            g = DivisorClass(v)
+    for field_name in ("negative_curves", "mori_generators", "effective_generators"):
+        for g in getattr(surface, field_name):
             if form.pairing(g, g - canonical) % 2:
                 raise SpecValidationError(
-                    field_name, f"vector {list(v)} violates d.(d - K) parity"
+                    field_name, f"vector {list(g)} violates d.(d - K) parity"
                 )
-    try:
-        regime = Regime(spec.regime)
-    except ValueError:
-        valid = ", ".join(r.value for r in Regime)
-        raise SpecValidationError("regime", f"{spec.regime!r} is not one of: {valid}") from None
     if strict:
         pos, neg, null = signature(spec.intersection_matrix)
         if (pos, neg, null) != (1, rank - 1, 0):
@@ -178,17 +159,7 @@ def load_surface(spec: SurfaceSpec, strict: bool = False) -> SurfaceModel:
                 f"signature ({pos}, {neg}) with {null} null directions; "
                 f"a surface lattice must have signature (1, {rank - 1})",
             )
-    return SurfaceModel(
-        name=spec.name,
-        rank=rank,
-        form=form,
-        canonical_class=canonical,
-        chi_structure_sheaf=spec.chi_structure_sheaf,
-        negative_curves=tuple(DivisorClass(v) for v in spec.negative_curves),
-        mori_generators=tuple(DivisorClass(v) for v in spec.mori_generators),
-        effective_generators=tuple(DivisorClass(v) for v in spec.effective_generators),
-        regime=regime,
-    )
+    return surface
 
 
 def signature(matrix: Iterable[Iterable[int]]) -> tuple[int, int, int]:

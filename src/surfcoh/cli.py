@@ -304,6 +304,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_absorb_negative_values(list(argv)))
     try:
+        if args.max_iterations < 0:
+            raise CliError(
+                f"--max-iterations must be non-negative, got {args.max_iterations}",
+                _USAGE_ERROR,
+            )
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,9 +133,11 @@ _NOT_EFFECTIVE = VanishingCertificate(
 def _h0_branch(
     surface: SurfaceModel, d: DivisorClass, max_iterations: int
 ) -> tuple[int | None, TransformTrace | None, VanishingCertificate]:
-    if not is_effective(surface, d):
+    # iterate_to_nef decides effectiveness itself; one decision per branch.
+    try:
+        trace = iterate_to_nef(surface, d, max_iterations=max_iterations)
+    except NotEffectiveError:
         return 0, None, _NOT_EFFECTIVE
-    trace = iterate_to_nef(surface, d, max_iterations=max_iterations)
     certificate = certify_vanishing(surface, trace.limit)
     if not certificate.certified:
         return None, trace, certificate

@@ -20,14 +20,16 @@ from .lattice import DivisorClass
 class Cone:
     """V-representation of a rational polyhedral cone.
 
-    ``_coefficients`` holds the generators' coefficient vectors, built once
-    here because every membership test keys its memo on them.
+    ``_coefficients`` holds the generators' coefficient vectors for the
+    simplex, and ``_hash`` the hash of the generators; both are built once
+    here because every membership test keys its memo on the cone.
     """
 
-    __slots__ = ("generators", "_coefficients")
+    __slots__ = ("generators", "_coefficients", "_hash")
 
     generators: tuple[DivisorClass, ...]
     _coefficients: tuple[tuple[int, ...], ...]
+    _hash: int
 
     def __init__(self, generators: Iterable[DivisorClass]):
         gens = tuple(
@@ -42,6 +44,7 @@ class Cone:
                     raise ValueError("cone generators must be nonzero")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_coefficients", tuple(g.coefficients for g in gens))
+        object.__setattr__(self, "_hash", hash(gens))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cone is immutable")
@@ -56,7 +59,7 @@ class Cone:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.generators)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Cone({list(self.generators)})"
@@ -70,7 +73,7 @@ def cone_contains(cone: Cone, d: DivisorClass) -> bool:
         )
     if d.is_zero:
         return True
-    return _nonnegative_combination_exists(cone._coefficients, d.coefficients)
+    return _decision(cone, d.coefficients)
 
 
 # Entries kept by the decision memo. Bounded, so that a long scan does not
@@ -84,6 +87,16 @@ _STALL_FACTOR = 2
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
+def _decision(cone: Cone, target: tuple[int, ...]) -> bool:
+    """The memoised decision for one cone and target.
+
+    The key is the cone itself: its hash is kept, and a lookup from the
+    same cone object compares it by identity, so only the target is hashed.
+    Equal cones built separately compare equal and share entries.
+    """
+    return _nonnegative_combination_exists(cone._coefficients, target)
+
+
 def _nonnegative_combination_exists(
     generators: tuple[tuple[int, ...], ...], target: tuple[int, ...]
 ) -> bool:

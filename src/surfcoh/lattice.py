@@ -148,7 +148,7 @@ class IntersectionForm:
         if len(d) != self.rank:
             raise RankMismatchError(f"form has rank {self.rank} but class has rank {len(d)}")
         coeffs = d.coefficients
-        return tuple(sum(map(operator.mul, row, coeffs)) for row in self.matrix)
+        return tuple([sum(map(operator.mul, row, coeffs)) for row in self.matrix])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntersectionForm):
@@ -240,7 +240,7 @@ class SurfaceModel:
 
 
 def _require_rank(surface: SurfaceModel, d: DivisorClass) -> None:
-    if len(d) != surface.rank:
+    if len(d.coefficients) != surface.rank:
         raise RankMismatchError(
             f"class {d} has length {len(d)} but surface {surface.name!r} "
             f"has rank {surface.rank}"

@@ -13,7 +13,7 @@ from operator import mul
 
 from .cones import Cone, cone_contains
 from .errors import ConsistencyError, NonAbutmentError, NotEffectiveError
-from .lattice import DivisorClass, SurfaceModel, _require_rank, intersect
+from .lattice import DivisorClass, SurfaceModel, _require_rank
 
 DEFAULT_MAX_ITERATIONS = 1000
 
@@ -87,52 +87,91 @@ class TransformTrace:
         return lines
 
 
-def _effective_cone(surface: SurfaceModel) -> Cone:
-    """The surface's effective cone, built on first use and kept on the surface.
+class _Kernel:
+    """One surface's intersection data as integer tuples.
+
+    ``curves`` holds each negative curve as (class, M·C, -C²), so that D·C is
+    one rank-length dot product of D's coefficients with M·C. ``mori_duals``
+    holds M·g for every Mori generator and ``other_mori_duals`` those of the
+    Mori generators that are not negative curves: once no negative curve
+    meets D negatively, only these can still show that D is not nef.
+    """
+
+    __slots__ = ("curves", "mori_duals", "other_mori_duals", "cone")
+
+    curves: tuple[tuple[DivisorClass, tuple[int, ...], int], ...]
+    mori_duals: tuple[tuple[int, ...], ...]
+    other_mori_duals: tuple[tuple[int, ...], ...]
+    cone: Cone
+
+    def __init__(self, surface: SurfaceModel):
+        # One M·c per distinct class, since on dP_k (k >= 2) the Mori
+        # generators are the negative curves. Keyed on coefficient tuples,
+        # whose comparisons stay in C when hashes collide (hash(-1) ==
+        # hash(-2) in CPython, so many (-1)-curves of dP8 share a hash).
+        duals: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for c in surface.negative_curves + surface.mori_generators:
+            if c.coefficients not in duals:
+                duals[c.coefficients] = surface.form.dual(c)
+        self.curves = tuple(
+            (c, duals[c.coefficients], -sum(map(mul, duals[c.coefficients], c.coefficients)))
+            for c in surface.negative_curves
+        )
+        self.mori_duals = tuple(duals[g.coefficients] for g in surface.mori_generators)
+        listed = {c.coefficients for c in surface.negative_curves}
+        self.other_mori_duals = tuple(
+            duals[g.coefficients]
+            for g in surface.mori_generators
+            if g.coefficients not in listed
+        )
+        self.cone = Cone(surface.effective_generators)
+
+
+def _kernel(surface: SurfaceModel) -> _Kernel:
+    """The surface's kernel, built on its first query and kept on the surface.
 
     It is stored as a plain instance attribute, not a dataclass field, so
     that a lookup does not hash the whole surface, and equality, hashing
-    and repr of the surface are unaffected.
+    and repr of the surface are unaffected. Building it twice, say from two
+    threads at once, builds equal data, so the race is harmless.
     """
-    cone = surface.__dict__.get("_effective_cone")
-    if cone is None:
-        cone = Cone(surface.effective_generators)
-        object.__setattr__(surface, "_effective_cone", cone)
-    return cone
+    kernel = surface.__dict__.get("_kernel")
+    if kernel is None:
+        kernel = _Kernel(surface)
+        object.__setattr__(surface, "_kernel", kernel)
+    return kernel
 
 
 def is_nef(surface: SurfaceModel, d: DivisorClass) -> bool:
     """Non-negative against every Mori generator."""
     _require_rank(surface, d)
-    dual = surface.form.dual(d)
-    return all(sum(map(mul, dual, g.coefficients)) >= 0 for g in surface.mori_generators)
+    coeffs = d.coefficients
+    return all(sum(map(mul, g, coeffs)) >= 0 for g in _kernel(surface).mori_duals)
 
 
 def is_effective(surface: SurfaceModel, d: DivisorClass) -> bool:
     """Membership of d in the surface's effective cone; zero counts."""
     _require_rank(surface, d)
-    return cone_contains(_effective_cone(surface), d)
+    return cone_contains(_kernel(surface).cone, d)
 
 
-def _fixed_part(surface: SurfaceModel, d: DivisorClass) -> FixedPart:
-    dual = surface.form.dual(d)
+def _fixed_part(kernel: _Kernel, coeffs: tuple[int, ...]) -> list[tuple[DivisorClass, int]]:
+    """The negative curves meeting coeffs negatively, with their multiplicities."""
     terms = []
-    for curve in surface.negative_curves:
-        product = sum(map(mul, dual, curve.coefficients))
+    for curve, curve_dual, minus_square in kernel.curves:
+        product = sum(map(mul, curve_dual, coeffs))
         if product < 0:
-            self_int = intersect(surface, curve, curve)
-            # ceil(a / b) for positive integers a = -product, b = -self_int
-            multiplicity = (-product + (-self_int) - 1) // (-self_int)
-            terms.append((curve, multiplicity))
-    return FixedPart(tuple(terms))
+            # ceil(-product / -C²), both positive
+            terms.append((curve, -(product // minus_square)))
+    return terms
 
 
-def _apply_step(surface: SurfaceModel, d: DivisorClass) -> tuple[DivisorClass, FixedPart]:
-    fixed = _fixed_part(surface, d)
-    result = d
-    for curve, multiplicity in fixed.terms:
-        result = result - multiplicity * curve
-    return result, fixed
+def _subtract(
+    coeffs: tuple[int, ...], terms: list[tuple[DivisorClass, int]]
+) -> tuple[int, ...]:
+    for curve, multiplicity in terms:
+        coeffs = tuple([x - multiplicity * c for x, c in zip(coeffs, curve.coefficients)])
+    return coeffs
 
 
 def isoparametric_step(
@@ -147,7 +186,8 @@ def isoparametric_step(
         raise NotEffectiveError(
             f"class {d} is not effective on {surface.name!r}; the transform is undefined"
         )
-    return _apply_step(surface, d)
+    terms = _fixed_part(_kernel(surface), d.coefficients)
+    return DivisorClass(_subtract(d.coefficients, terms)), FixedPart(tuple(terms))
 
 
 def iterate_to_nef(
@@ -161,16 +201,21 @@ def iterate_to_nef(
     round, since it changes between steps. The iteration cap guards
     against malformed surface data; genuine inputs abut within a few steps.
     """
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     if not is_effective(surface, d):
         raise NotEffectiveError(
             f"class {d} is not effective on {surface.name!r}; iteration may not terminate"
         )
+    kernel = _kernel(surface)
     steps: list[TransformStep] = []
     current = d
+    coeffs = d.coefficients
     while True:
-        result, fixed = _apply_step(surface, current)
-        if fixed.is_empty:
-            if not is_nef(surface, current):
+        terms = _fixed_part(kernel, coeffs)
+        if not terms:
+            # Every negative curve meets the class non-negatively already.
+            if any(sum(map(mul, g, coeffs)) < 0 for g in kernel.other_mori_duals):
                 raise ConsistencyError(
                     f"no negative curve meets {current} negatively on "
                     f"{surface.name!r}, yet the class is not nef; the "
@@ -182,5 +227,6 @@ def iterate_to_nef(
                 f"no nef limit within {max_iterations} steps starting from {d} "
                 f"on {surface.name!r}; surface data is likely inconsistent"
             )
-        steps.append(TransformStep(fixed_part=fixed, result=result))
-        current = result
+        coeffs = _subtract(coeffs, terms)
+        current = DivisorClass(coeffs)
+        steps.append(TransformStep(fixed_part=FixedPart(tuple(terms)), result=current))

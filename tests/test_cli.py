@@ -121,6 +121,20 @@ class TestTransformCommand:
         assert code == 1
         assert "2 steps" in err
 
+    def test_negative_max_iterations_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "transform",
+            "--surface",
+            "gdp2",
+            "--class",
+            "2,2,0",
+            "--max-iterations",
+            "-3",
+        )
+        assert code == 2
+        assert "--max-iterations" in err
+
 
 class TestCatalogCommand:
     @pytest.mark.parametrize("k", range(9))

@@ -30,6 +30,7 @@ from surfcoh import (
     serre_dual,
     toric_model,
 )
+from surfcoh import transform
 
 D = DivisorClass
 
@@ -125,6 +126,21 @@ class TestCohomology:
         )
         with pytest.raises(ConsistencyError):
             cohomology(phantom, D([3, -2]))
+
+    def test_one_effectiveness_decision_per_branch(self, monkeypatch):
+        decided = []
+        original = transform.cone_contains
+
+        def counted(cone, d):
+            decided.append(d)
+            return original(cone, d)
+
+        monkeypatch.setattr(transform, "cone_contains", counted)
+        surface = gdp2_surface()
+        classes = list(box_classes(3, -3, 3))
+        for d in classes:
+            cohomology(surface, d)
+        assert len(decided) == 2 * len(classes)
 
     def test_json_shape(self):
         data = cohomology(make_del_pezzo(1), D([2, 1])).to_json()

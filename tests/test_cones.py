@@ -20,7 +20,7 @@ from conftest import gdp2_surface, sampled_box_classes, sampled_effective_classe
 from surfcoh import Cone, DivisorClass, make_del_pezzo, make_hirzebruch
 from surfcoh import cones
 
-simplex = cones._nonnegative_combination_exists.__wrapped__
+simplex = cones._nonnegative_combination_exists
 
 
 def reference_decision(
@@ -148,9 +148,9 @@ def catalog_cases():
 
 @pytest.fixture
 def fresh_memo():
-    cones._nonnegative_combination_exists.cache_clear()
+    cones._decision.cache_clear()
     yield
-    cones._nonnegative_combination_exists.cache_clear()
+    cones._decision.cache_clear()
 
 
 class TestAgainstRationalReference:
@@ -178,11 +178,24 @@ class TestAgainstRationalReference:
         assert switched > 100
 
     def test_memo_is_bounded(self):
-        maxsize = cones._nonnegative_combination_exists.cache_info().maxsize
+        maxsize = cones._decision.cache_info().maxsize
         assert maxsize is not None
         # Well above the distinct decisions of a repeated scan part, so that
         # a cyclic repeat pass is served from the memo.
         assert maxsize >= 2**14
+
+    def test_equal_cones_share_memo_entries(self, fresh_memo):
+        key = _key(make_del_pezzo(4))
+        first, second = Cone(key), Cone(key)
+        assert first is not second and first == second
+        target = DivisorClass((1, 0, 0, 0, 0))
+        assert cones.cone_contains(first, target) == cones.cone_contains(second, target)
+        info = cones._decision.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_hash_is_that_of_the_generators(self):
+        generators = make_del_pezzo(3).effective_generators
+        assert hash(Cone(generators)) == hash(tuple(generators))
 
 
 def _generator_sets():

@@ -58,10 +58,12 @@ class TestIsEffective:
         assert is_effective(gdp2_surface(), D.zero(3))
 
     def test_kept_cone_leaves_surface_identity(self):
-        # The effective cone is kept on the surface after first use; the
-        # surface must still equal, hash and print like one never queried.
+        # The surface's kernel (effective cone, curve and Mori data) is kept
+        # on it after first use; the surface must still equal, hash and
+        # print like one never queried.
         used, fresh = make_hirzebruch(3), make_hirzebruch(3)
         assert is_effective(used, D([1, 1]))
+        assert iterate_to_nef(used, D([1, 1])).limit == D([0, 1])
         assert used == fresh
         assert hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
@@ -124,9 +126,21 @@ class TestIterate:
         with pytest.raises(NonAbutmentError):
             iterate_to_nef(gdp2_surface(), D([2, 2, 0]), max_iterations=2)
 
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError):
+            iterate_to_nef(gdp2_surface(), D([2, 2, 0]), max_iterations=-3)
+
     def test_non_effective_rejected(self):
         with pytest.raises(NotEffectiveError):
             iterate_to_nef(make_del_pezzo(1), D([1, -2]))
+
+    def test_non_effective_message(self):
+        with pytest.raises(NotEffectiveError) as err:
+            iterate_to_nef(make_del_pezzo(1), D([1, -2]))
+        assert type(err.value) is NotEffectiveError
+        assert err.value.args == (
+            "class [1, -2] is not effective on 'dp1'; iteration may not terminate",
+        )
 
     def test_incomplete_curve_list_detected(self):
         # A negative class is reachable but listed nowhere, so the empty
