@@ -27,7 +27,8 @@ from .errors import (
 )
 from .lattice import DivisorClass, SurfaceModel
 from .toric import ORACLE_NAMES, oracle_h0, toric_model
-from .transform import DEFAULT_MAX_ITERATIONS, is_effective, iterate_to_nef
+# is_effective and iterate_to_nef stay bound here: perfbench/tracer.py patches both in this module.
+from .transform import DEFAULT_MAX_ITERATIONS, is_effective, iterate_to_nef  # noqa: F401
 
 _USAGE_ERROR = 2
 
@@ -188,9 +189,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     for coeffs in itertools.product(range(lo, hi + 1), repeat=surface.rank):
         d = DivisorClass(coeffs)
         total += 1
-        if is_effective(surface, d):
+        result = cohomology(surface, d, max_iterations=args.max_iterations)
+        # The h0 branch sets the trace exactly when the class is effective.
+        if result.trace is not None:
             effective += 1
-        pipeline = cohomology(surface, d, max_iterations=args.max_iterations).h0
+        pipeline = result.h0
         oracle = oracle_h0(toric, d)
         if pipeline != oracle:
             mismatches.append(

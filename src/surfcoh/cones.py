@@ -6,11 +6,16 @@ the tableau holds integers over one common denominator, and every pivot
 divides exactly, so answers on the cone boundary are exact without any
 rational arithmetic. Problem sizes here are tiny (rank <= 9, at most a
 few hundred generators), which keeps the dense tableau cheap.
+
+A target outside the cone leaves the simplex with a separating vector w:
+w.g >= 0 for every generator g and w.target < 0. Each cone keeps the last
+few; one of them settles most later non-members with a dot product.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import Iterable
 
 from .errors import RankMismatchError
@@ -23,13 +28,18 @@ class Cone:
     ``_coefficients`` holds the generators' coefficient vectors for the
     simplex, and ``_hash`` the hash of the generators; both are built once
     here because every membership test keys its memo on the cone.
+    ``_separators`` holds up to ``_SEPARATORS`` separating vectors found by
+    earlier decisions, newest first. It is the one mutable part of a cone
+    and takes no part in equality or hashing; threads that race on it can
+    drop or repeat an entry, but every entry stays a valid separator.
     """
 
-    __slots__ = ("generators", "_coefficients", "_hash")
+    __slots__ = ("generators", "_coefficients", "_hash", "_separators")
 
     generators: tuple[DivisorClass, ...]
     _coefficients: tuple[tuple[int, ...], ...]
     _hash: int
+    _separators: list[tuple[int, ...]]
 
     def __init__(self, generators: Iterable[DivisorClass]):
         gens = tuple(
@@ -45,6 +55,7 @@ class Cone:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "_coefficients", tuple(g.coefficients for g in gens))
         object.__setattr__(self, "_hash", hash(gens))
+        object.__setattr__(self, "_separators", [])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cone is immutable")
@@ -81,6 +92,10 @@ def cone_contains(cone: Cone, d: DivisorClass) -> bool:
 # over a workload's distinct decisions (a few thousand) stays in the memo.
 _MEMO_SIZE = 2**15
 
+# Separating vectors kept per cone. Few are needed: over the dp3 scan boxes
+# -5..0 to -2..3, four found by the simplex settled all other non-members.
+_SEPARATORS = 8
+
 # Dantzig's rule is allowed _STALL_FACTOR * (m + n + 5) consecutive pivots
 # that leave the objective unchanged before Bland's rule takes over.
 _STALL_FACTOR = 2
@@ -93,14 +108,37 @@ def _decision(cone: Cone, target: tuple[int, ...]) -> bool:
     The key is the cone itself: its hash is kept, and a lookup from the
     same cone object compares it by identity, so only the target is hashed.
     Equal cones built separately compare equal and share entries.
+    A miss tries the cone's separating vectors before the simplex.
     """
-    return _nonnegative_combination_exists(cone._coefficients, target)
+    separators = cone._separators
+    for w in separators:
+        if sum(map(mul, w, target)) < 0:
+            return False
+    generators = cone._coefficients
+    w = _separating_vector(generators, target)
+    if w is None:
+        return True
+    if sum(map(mul, w, target)) >= 0 or any(
+        sum(map(mul, w, g)) < 0 for g in generators
+    ):
+        raise ArithmeticError("phase-1 dual does not separate; tableau corrupt")
+    separators.insert(0, w)
+    del separators[_SEPARATORS:]
+    return False
 
 
 def _nonnegative_combination_exists(
     generators: tuple[tuple[int, ...], ...], target: tuple[int, ...]
 ) -> bool:
-    """Exact feasibility of  sum_i x_i * g_i = target,  x_i >= 0.
+    """Exact feasibility of  sum_i x_i * g_i = target,  x_i >= 0."""
+    return _separating_vector(generators, target) is None
+
+
+def _separating_vector(
+    generators: tuple[tuple[int, ...], ...], target: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """None if  sum_i x_i * g_i = target  has a solution x >= 0, else a
+    separating vector w: w.g_i >= 0 for every i and w.target < 0.
 
     Phase-1 simplex: minimise the sum of one artificial variable per
     coordinate; feasible iff the optimum is zero. Pivots follow Dantzig's
@@ -116,16 +154,22 @@ def _nonnegative_combination_exists(
     the column of ``x``; the division is exact (Bareiss). Scaled values are
     compared by cross-multiplication, so the pivots are those of the same
     simplex over exact rationals.
+
+    At an optimum above zero the phase-1 dual y separates: the cost entry
+    of artificial column j is det * (1 - y_j), so y can be read off it, and
+    w_j = -sign_j * det * y_j undoes the sign flip of row j.
     """
     n = len(target)
     m = len(generators)
     if m == 0:
-        return all(t == 0 for t in target)
+        return None if all(t == 0 for t in target) else tuple([-t for t in target])
 
     ncols = m + n
     tableau: list[list[int]] = []
+    signs: list[int] = []
     for j in range(n):
         sign = -1 if target[j] < 0 else 1
+        signs.append(sign)
         row = [sign * g[j] for g in generators]
         row.extend(1 if k == j else 0 for k in range(n))
         row.append(sign * target[j])
@@ -154,7 +198,9 @@ def _nonnegative_combination_exists(
             if worst < 0:
                 entering = cost.index(worst)
         if entering < 0:
-            return cost[ncols] == 0
+            if cost[ncols] == 0:
+                return None
+            return tuple([sign * (cost[m + j] - det) for j, sign in enumerate(signs)])
         # Ratio test on rhs / a, compared as rhs * best_a against best_rhs * a.
         leaving = -1
         best_rhs = best_a = 0

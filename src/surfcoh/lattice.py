@@ -40,6 +40,13 @@ class DivisorClass:
         coeffs = tuple(operator.index(c) for c in coefficients)
         object.__setattr__(self, "coefficients", coeffs)
 
+    @classmethod
+    def _of_ints(cls, coefficients: tuple[int, ...]) -> "DivisorClass":
+        """Wrap a tuple already known to hold ints, skipping validation."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "coefficients", coefficients)
+        return d
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DivisorClass is immutable")
 
@@ -79,7 +86,7 @@ class DivisorClass:
             raise RankMismatchError(
                 f"cannot combine classes of rank {len(self)} and {len(other)}"
             )
-        return DivisorClass(op(a, b) for a, b in zip(self.coefficients, other.coefficients))
+        return DivisorClass._of_ints(tuple(map(op, self.coefficients, other.coefficients)))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return self._binop(other, operator.add)
@@ -88,11 +95,11 @@ class DivisorClass:
         return self._binop(other, operator.sub)
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-c for c in self.coefficients)
+        return DivisorClass._of_ints(tuple([-c for c in self.coefficients]))
 
     def __mul__(self, k: int) -> "DivisorClass":
         k = operator.index(k)
-        return DivisorClass(k * c for c in self.coefficients)
+        return DivisorClass._of_ints(tuple([k * c for c in self.coefficients]))
 
     __rmul__ = __mul__
 

@@ -2,16 +2,18 @@
 
 Counts lattice points of divisor polytopes directly, which gives the
 dimension of the space of sections of any torus-invariant divisor on a
-complete toric surface, nef or not. It shares nothing with the transform
-and index machinery, so agreement between the two is a genuine
-differential test.
+complete toric surface, nef or not. The count runs in exact integers, row
+by row between integer-scaled vertices. It shares nothing with the
+pairing, cone, transform and index machinery, so agreement between the two
+is a genuine differential test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .catalog import make_del_pezzo, make_hirzebruch
 from .errors import RankMismatchError, UnboundedPolytopeError, UnknownSurfaceError
@@ -144,27 +146,23 @@ def polytope_from_ray_coefficients(
 
 def polytope_of_divisor(t: ToricSurface, d: DivisorClass) -> HalfplaneSet:
     """Section polytope of the lift of d to ray coordinates."""
-    if len(d) != t.rank:
+    coeffs = d.coefficients
+    if len(coeffs) != t.rank:
         raise RankMismatchError(
-            f"class {d} has length {len(d)} but the model has rank {t.rank}"
+            f"class {d} has length {len(coeffs)} but the model has rank {t.rank}"
         )
-    coeffs = tuple(
-        sum(row[k] * d[k] for k in range(t.rank)) for row in t.lift_map
+    return polytope_from_ray_coefficients(
+        t, tuple([sum(map(mul, row, coeffs)) for row in t.lift_map])
     )
-    return polytope_from_ray_coefficients(t, coeffs)
 
 
-def count_lattice_points(p: HalfplaneSet) -> int:
-    """Exact number of integer points satisfying every halfplane constraint.
+@lru_cache(maxsize=32)
+def _require_bounded(normals: tuple[tuple[int, int], ...]) -> None:
+    """Raise UnboundedPolytopeError if some direction meets every normal non-negatively.
 
-    Vertices of the feasible region are enumerated exactly over rationals
-    from constraint pairs; they bound a scan box that is then checked
-    pointwise in integer arithmetic.
+    Whether the region is bounded depends on the normals alone, which one
+    fan shares across all its divisors, so the memo holds one entry per fan.
     """
-    constraints = p.constraints
-    if not constraints:
-        raise UnboundedPolytopeError("no constraints: the whole plane is feasible")
-    normals = [c[0] for c in constraints]
     for vx, vy in normals:
         for u in ((-vy, vx), (vy, -vx)):
             if u != (0, 0) and all(u[0] * wx + u[1] * wy >= 0 for wx, wy in normals):
@@ -172,30 +170,53 @@ def count_lattice_points(p: HalfplaneSet) -> int:
                     f"feasible region is unbounded along direction {u}; "
                     f"the fan is not complete"
                 )
-    vertices: list[tuple[Fraction, Fraction]] = []
-    for i in range(len(constraints)):
-        (ax, ay), a_off = constraints[i]
-        for j in range(i + 1, len(constraints)):
-            (bx, by), b_off = constraints[j]
+
+
+def count_lattice_points(p: HalfplaneSet) -> int:
+    """Exact number of integer points satisfying every halfplane constraint.
+
+    Each vertex of the feasible region, the meeting point of two constraint
+    lines, is computed in integers as (X, Y, det) with det > 0 standing for
+    (X/det, Y/det). The vertices give the range of integer x; for each x
+    the constraints with a positive y-coefficient bound y from below and
+    those with a negative one from above, and the row adds the integers
+    between the two bounds. The work grows with the width of the region,
+    not with its area.
+    """
+    constraints = p.constraints
+    if not constraints:
+        raise UnboundedPolytopeError("no constraints: the whole plane is feasible")
+    _require_bounded(tuple((wx, wy) for (wx, wy), _ in constraints))
+    # Numerators of the vertices' x-coordinates, with their denominators.
+    vertices: list[tuple[int, int]] = []
+    for i, ((ax, ay), a_off) in enumerate(constraints):
+        for (bx, by), b_off in constraints[i + 1 :]:
             det = ax * by - ay * bx
             if det == 0:
                 continue
             # Solve <u, a> = -a_off, <u, b> = -b_off by Cramer's rule.
-            ux = Fraction(-a_off * by + b_off * ay, det)
-            uy = Fraction(-ax * b_off + bx * a_off, det)
-            if all(ux * wx + uy * wy >= -off for (wx, wy), off in constraints):
-                vertices.append((ux, uy))
+            x = b_off * ay - a_off * by
+            y = a_off * bx - b_off * ax
+            if det < 0:
+                x, y, det = -x, -y, -det
+            if all(x * wx + y * wy >= -off * det for (wx, wy), off in constraints):
+                vertices.append((x, det))
     if not vertices:
         return 0
-    x_lo = math.ceil(min(v[0] for v in vertices))
-    x_hi = math.floor(max(v[0] for v in vertices))
-    y_lo = math.ceil(min(v[1] for v in vertices))
-    y_hi = math.floor(max(v[1] for v in vertices))
+    # y >= -(off + x*wx) / wy where wy > 0 and y <= (off + x*wx) / -wy where
+    # wy < 0; the upper list stores -wy. A bounded region has constraints of
+    # both signs in y, so neither list is empty. Those with wy == 0 hold on
+    # the whole x-range of the region, and so on every row counted.
+    lower = [(wx, wy, off) for (wx, wy), off in constraints if wy > 0]
+    upper = [(wx, -wy, off) for (wx, wy), off in constraints if wy < 0]
+    x_lo = min(-(-x // det) for x, det in vertices)
+    x_hi = max(x // det for x, det in vertices)
     count = 0
     for x in range(x_lo, x_hi + 1):
-        for y in range(y_lo, y_hi + 1):
-            if all(x * wx + y * wy >= -off for (wx, wy), off in constraints):
-                count += 1
+        y_lo = max(-((off + x * wx) // wy) for wx, wy, off in lower)
+        y_hi = min((off + x * wx) // wy for wx, wy, off in upper)
+        if y_hi >= y_lo:
+            count += y_hi - y_lo + 1
     return count
 
 

@@ -187,7 +187,7 @@ def isoparametric_step(
             f"class {d} is not effective on {surface.name!r}; the transform is undefined"
         )
     terms = _fixed_part(_kernel(surface), d.coefficients)
-    return DivisorClass(_subtract(d.coefficients, terms)), FixedPart(tuple(terms))
+    return DivisorClass._of_ints(_subtract(d.coefficients, terms)), FixedPart(tuple(terms))
 
 
 def iterate_to_nef(
@@ -228,5 +228,5 @@ def iterate_to_nef(
                 f"on {surface.name!r}; surface data is likely inconsistent"
             )
         coeffs = _subtract(coeffs, terms)
-        current = DivisorClass(coeffs)
+        current = DivisorClass._of_ints(coeffs)
         steps.append(TransformStep(fixed_part=FixedPart(tuple(terms)), result=current))

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from surfcoh import MINUS_ONE_CURVE_COUNTS, fixture_path
+import surfcoh.transform
+from surfcoh import MINUS_ONE_CURVE_COUNTS, fixture_path, is_effective, make_del_pezzo
 from surfcoh.cli import main
 
 
@@ -170,7 +171,7 @@ class TestOracleCheckCommand:
         assert "--oracle" in err
 
 
-from conftest import corrupt_f2_spec
+from conftest import box_classes, corrupt_f2_spec
 
 
 class TestScanCommand:
@@ -197,6 +198,29 @@ class TestScanCommand:
         assert code == 1
         assert "mismatches: 0" not in out
         assert "mismatch at" in out
+
+    @pytest.mark.parametrize("box", ((-3, 0), (-1, 2)))
+    def test_scan_decides_each_class_once_per_branch(self, capsys, monkeypatch, box):
+        # One effectiveness decision for D and one for K - D; the effective
+        # count reuses the first instead of deciding D a third time.
+        decisions = []
+        inner = surfcoh.transform.cone_contains
+
+        def counting(cone, d):
+            decisions.append(d)
+            return inner(cone, d)
+
+        monkeypatch.setattr(surfcoh.transform, "cone_contains", counting)
+        lo, hi = box
+        code, out, _ = run_cli(
+            capsys, "scan", "--surface", "dp3", "--box", f"{lo}..{hi}", "--format", "json"
+        )
+        monkeypatch.undo()
+        data = json.loads(out)
+        assert code == 0 and data["classes"] == 256
+        assert len(decisions) == 2 * 256
+        surface = make_del_pezzo(3)
+        assert data["effective"] == sum(is_effective(surface, d) for d in box_classes(4, lo, hi))
 
     def test_bad_box_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--surface", "f2", "--box", "nope")

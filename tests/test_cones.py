@@ -198,6 +198,55 @@ class TestAgainstRationalReference:
         assert hash(Cone(generators)) == hash(tuple(generators))
 
 
+def separates(generators, target, w) -> bool:
+    return all(_dot(w, g) >= 0 for g in generators) and _dot(w, target) < 0
+
+
+def _dot(u, v) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+class TestSeparators:
+    def test_every_non_member_gets_a_separating_vector(self, catalog_cases):
+        for key, target, (expected, _) in catalog_cases:
+            w = cones._separating_vector(key, target)
+            if expected:
+                assert w is None, (key, target)
+            else:
+                assert separates(key, target, w), (key, target, w)
+
+    @pytest.mark.parametrize(
+        "surface", [make_del_pezzo(3), make_hirzebruch(2), gdp2_surface()], ids=lambda s: s.name
+    )
+    def test_kept_separators_are_bounded_and_keep_decisions(
+        self, surface, fresh_memo, monkeypatch
+    ):
+        key = _key(surface)
+        cone = Cone(key)
+        simplex_runs = []
+        inner = cones._separating_vector
+
+        def counting(generators, target):
+            simplex_runs.append(target)
+            return inner(generators, target)
+
+        monkeypatch.setattr(cones, "_separating_vector", counting)
+        targets = [c for c in itertools.product(range(-4, 5), repeat=surface.rank) if any(c)]
+        decisions = [cones.cone_contains(cone, DivisorClass(t)) for t in targets]
+        monkeypatch.undo()
+        assert decisions == [simplex(key, t) for t in targets]
+        non_members = decisions.count(False)
+        members = len(targets) - non_members
+        # Kept separators settle most non-members without the simplex.
+        assert len(simplex_runs) - members < non_members / 4
+        assert 0 < len(cone._separators) <= cones._SEPARATORS
+        assert all(all(_dot(w, g) >= 0 for g in key) for w in cone._separators)
+
+    def test_empty_cone_separates_every_nonzero_target(self):
+        assert cones._separating_vector((), (0, 0)) is None
+        assert separates((), (2, -1), cones._separating_vector((), (2, -1)))
+
+
 def _generator_sets():
     """Small generator lists with repeats, multiples and opposite vectors."""
     coordinate = st.integers(-2, 2)
@@ -230,6 +279,15 @@ class TestDegenerateInputs:
     def test_matches_reference(self, case):
         generators, target = case
         assert simplex(generators, target) == reference_decision(generators, target)[0]
+
+    @given(_generator_sets())
+    def test_separating_vector_matches_reference(self, case):
+        generators, target = case
+        w = cones._separating_vector(generators, target)
+        if reference_decision(generators, target)[0]:
+            assert w is None
+        else:
+            assert separates(generators, target, w)
 
     @given(_generator_sets())
     def test_matches_reference_under_bland(self, case):

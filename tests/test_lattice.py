@@ -52,6 +52,18 @@ class TestDivisorClass:
         assert -D([1, -2]) == D([-1, 2])
         assert D.zero(3) == D([0, 0, 0])
 
+    def test_arithmetic_results_match_the_public_constructor(self):
+        # Results of arithmetic skip re-validation, so they must come out as
+        # the validating constructor would build them.
+        for d in (D([1, 2]) + D([3, -1]), D([1, 2]) - D([3, -1]), 3 * D([1, -2]), -D([1, -2])):
+            assert type(d.coefficients) is tuple
+            assert all(type(c) is int for c in d.coefficients)
+            assert d == D(d.coefficients) and hash(d) == hash(D(d.coefficients))
+            with pytest.raises(AttributeError):
+                d.coefficients = (0, 0)
+        with pytest.raises(TypeError):
+            1.5 * D([1, 2])
+
     def test_mixed_rank_rejected(self):
         with pytest.raises(RankMismatchError):
             D([1, 2]) + D([1, 2, 3])

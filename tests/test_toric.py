@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import box_classes, sampled_box_classes
+from surfcoh import toric as toric_module
 from surfcoh import (
     DivisorClass,
     HalfplaneSet,
@@ -24,6 +30,63 @@ from surfcoh import (
 D = DivisorClass
 
 MODEL_NAMES = ("f0", "f1", "f2", "f3", "f4", "dp1", "dp2", "dp3")
+
+
+def reference_count(p: HalfplaneSet) -> int:
+    """Point-by-point count over the bounding box of Fraction vertices.
+
+    The oracle's former counter, kept as the reference for its integer
+    row-by-row replacement.
+    """
+    constraints = p.constraints
+    if not constraints:
+        raise UnboundedPolytopeError("no constraints: the whole plane is feasible")
+    normals = [c[0] for c in constraints]
+    for vx, vy in normals:
+        for u in ((-vy, vx), (vy, -vx)):
+            if u != (0, 0) and all(u[0] * wx + u[1] * wy >= 0 for wx, wy in normals):
+                raise UnboundedPolytopeError(
+                    f"feasible region is unbounded along direction {u}; "
+                    f"the fan is not complete"
+                )
+    vertices: list[tuple[Fraction, Fraction]] = []
+    for i in range(len(constraints)):
+        (ax, ay), a_off = constraints[i]
+        for j in range(i + 1, len(constraints)):
+            (bx, by), b_off = constraints[j]
+            det = ax * by - ay * bx
+            if det == 0:
+                continue
+            ux = Fraction(-a_off * by + b_off * ay, det)
+            uy = Fraction(-ax * b_off + bx * a_off, det)
+            if all(ux * wx + uy * wy >= -off for (wx, wy), off in constraints):
+                vertices.append((ux, uy))
+    if not vertices:
+        return 0
+    x_lo = math.ceil(min(v[0] for v in vertices))
+    x_hi = math.floor(max(v[0] for v in vertices))
+    y_lo = math.ceil(min(v[1] for v in vertices))
+    y_hi = math.floor(max(v[1] for v in vertices))
+    count = 0
+    for x in range(x_lo, x_hi + 1):
+        for y in range(y_lo, y_hi + 1):
+            if all(x * wx + y * wy >= -off for (wx, wy), off in constraints):
+                count += 1
+    return count
+
+
+def count_or_message(count, p: HalfplaneSet):
+    try:
+        return count(p)
+    except UnboundedPolytopeError as exc:
+        return str(exc)
+
+
+halfplane_sets = st.lists(
+    st.tuples(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), st.integers(-12, 12)),
+    min_size=1,
+    max_size=6,
+).map(lambda constraints: HalfplaneSet(tuple(constraints)))
 
 
 class TestModels:
@@ -123,6 +186,53 @@ class TestCounting:
     def test_no_constraints_rejected(self):
         with pytest.raises(UnboundedPolytopeError):
             count_lattice_points(HalfplaneSet(()))
+
+    @pytest.mark.parametrize(
+        "constraints, expected",
+        [
+            # -3/2 <= x <= -1/3, -5/2 <= y <= -1/2: x = -1, y in {-2, -1}.
+            ((((2, 0), 3), ((-3, 0), -1), ((0, 2), 5), ((0, -2), -1)), 2),
+            # Triangle x >= -7/2, y >= -5/3, x + y <= -1/2: 4 + 3 + 2 + 1 points.
+            ((((2, 0), 7), ((0, 3), 5), ((-2, -2), -1)), 10),
+            # The single point (-3, -2).
+            ((((1, 0), 3), ((-1, 0), -3), ((0, 1), 2), ((0, -1), -2)), 1),
+            # |x| <= 1/2, |y| <= 1/2: only the origin.
+            ((((2, 0), 1), ((-2, 0), 1), ((0, 2), 1), ((0, -2), 1)), 1),
+            # The segment x + y = -2, -5/2 <= x <= 1/2: x in {-2, -1, 0}.
+            ((((1, 1), 2), ((-1, -1), -2), ((2, 0), 5), ((-2, 0), 1)), 3),
+            # The vertical segment x = -1, -7/2 <= y <= 3/2.
+            ((((1, 0), 1), ((-1, 0), -1), ((0, 2), 7), ((0, -2), 3)), 5),
+            # The segment 2y - x = 1, 0 <= x <= 4: rows x = 0, 2, 4 are empty.
+            ((((-1, 2), -1), ((1, -2), 1), ((1, 0), 0), ((-1, 0), 4)), 2),
+            # 1/3 <= x <= 2/3: no integer column.
+            ((((3, 0), -1), ((-3, 0), 2), ((0, 1), 0), ((0, -1), 5)), 0),
+        ],
+    )
+    def test_fractional_and_degenerate_regions(self, constraints, expected):
+        p = HalfplaneSet(constraints)
+        assert count_lattice_points(p) == expected
+        assert reference_count(p) == expected
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_agrees_with_pointwise_reference_on_boxes(self, name):
+        toric, surface = toric_model(name)
+        bound = 4 if surface.rank == 4 else 6
+        for d in box_classes(surface.rank, -bound, bound):
+            p = polytope_of_divisor(toric, d)
+            assert count_lattice_points(p) == reference_count(p), d
+
+    @settings(max_examples=300)
+    @given(halfplane_sets)
+    def test_agrees_with_pointwise_reference(self, p):
+        assert count_or_message(count_lattice_points, p) == count_or_message(reference_count, p)
+
+    def test_boundedness_memo_holds_one_entry_per_fan(self):
+        toric_module._require_bounded.cache_clear()
+        toric, surface = toric_model("dp3")
+        for d in box_classes(surface.rank, -1, 1):
+            oracle_h0(toric, d)
+        info = toric_module._require_bounded.cache_info()
+        assert info.currsize == 1 and info.maxsize is not None
 
 
 class TestOracle:
