@@ -3,7 +3,7 @@
 Counts lattice points of divisor polytopes directly, which gives the
 dimension of the space of sections of any torus-invariant divisor on a
 complete toric surface, nef or not. The count runs in exact integers, row
-by row between integer-scaled vertices. It shares nothing with the
+by row over the x-range that eliminating y leaves. It shares nothing with the
 pairing, cone, transform and index machinery, so agreement between the two
 is a genuine differential test.
 """
@@ -163,6 +163,8 @@ def _require_bounded(normals: tuple[tuple[int, int], ...]) -> None:
     Whether the region is bounded depends on the normals alone, which one
     fan shares across all its divisors, so the memo holds one entry per fan.
     """
+    if not any(vx or vy for vx, vy in normals):
+        raise UnboundedPolytopeError("every normal is zero: no direction is bounded")
     for vx, vy in normals:
         for u in ((-vy, vx), (vy, -vx)):
             if u != (0, 0) and all(u[0] * wx + u[1] * wy >= 0 for wx, wy in normals):
@@ -175,42 +177,35 @@ def _require_bounded(normals: tuple[tuple[int, int], ...]) -> None:
 def count_lattice_points(p: HalfplaneSet) -> int:
     """Exact number of integer points satisfying every halfplane constraint.
 
-    Each vertex of the feasible region, the meeting point of two constraint
-    lines, is computed in integers as (X, Y, det) with det > 0 standing for
-    (X/det, Y/det). The vertices give the range of integer x; for each x
-    the constraints with a positive y-coefficient bound y from below and
-    those with a negative one from above, and the row adds the integers
-    between the two bounds. The work grows with the width of the region,
-    not with its area.
+    Eliminating y (Fourier-Motzkin) gives the range of integer x: each
+    constraint without y bounds x directly, and each pair of a constraint
+    bounding y from below and one bounding it from above bounds x through
+    their meeting. For each x in that range the constraints with a positive
+    y-coefficient bound y from below and those with a negative one from
+    above, and the row adds the integers between the two bounds. The work
+    grows with the width of the region, not with its area.
     """
     constraints = p.constraints
     if not constraints:
         raise UnboundedPolytopeError("no constraints: the whole plane is feasible")
     _require_bounded(tuple((wx, wy) for (wx, wy), _ in constraints))
-    # Numerators of the vertices' x-coordinates, with their denominators.
-    vertices: list[tuple[int, int]] = []
-    for i, ((ax, ay), a_off) in enumerate(constraints):
-        for (bx, by), b_off in constraints[i + 1 :]:
-            det = ax * by - ay * bx
-            if det == 0:
-                continue
-            # Solve <u, a> = -a_off, <u, b> = -b_off by Cramer's rule.
-            x = b_off * ay - a_off * by
-            y = a_off * bx - b_off * ax
-            if det < 0:
-                x, y, det = -x, -y, -det
-            if all(x * wx + y * wy >= -off * det for (wx, wy), off in constraints):
-                vertices.append((x, det))
-    if not vertices:
-        return 0
     # y >= -(off + x*wx) / wy where wy > 0 and y <= (off + x*wx) / -wy where
-    # wy < 0; the upper list stores -wy. A bounded region has constraints of
-    # both signs in y, so neither list is empty. Those with wy == 0 hold on
-    # the whole x-range of the region, and so on every row counted.
+    # wy < 0; the upper list stores -wy.
     lower = [(wx, wy, off) for (wx, wy), off in constraints if wy > 0]
     upper = [(wx, -wy, off) for (wx, wy), off in constraints if wy < 0]
-    x_lo = min(-(-x // det) for x, det in vertices)
-    x_hi = max(x // det for x, det in vertices)
+    # Constraints a*x >= -b on x alone. Elimination gives the exact projection
+    # of the region, and of its recession cone, on the x-axis; the boundedness
+    # test found that cone to be the origin, so bounds of both signs exist.
+    columns = [(wx, off) for (wx, wy), off in constraints if wy == 0]
+    columns += [
+        (ly * ux + uy * lx, ly * uo + uy * lo)
+        for lx, ly, lo in lower
+        for ux, uy, uo in upper
+    ]
+    if any(a == 0 and b < 0 for a, b in columns):
+        return 0
+    x_lo = max(-(b // a) for a, b in columns if a > 0)
+    x_hi = min(b // -a for a, b in columns if a < 0)
     count = 0
     for x in range(x_lo, x_hi + 1):
         y_lo = max(-((off + x * wx) // wy) for wx, wy, off in lower)

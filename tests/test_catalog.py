@@ -264,29 +264,54 @@ class TestLoadSurface:
         assert err.value.field == "intersection_matrix"
 
 
+def surface_fields(surface):
+    return (
+        surface.form,
+        surface.canonical_class,
+        surface.chi_structure_sheaf,
+        surface.negative_curves,
+        surface.mori_generators,
+        surface.effective_generators,
+        surface.regime,
+    )
+
+
+def round_trip(surface):
+    """The surface's spec, through JSON and back to a strictly loaded model."""
+    spec = SurfaceSpec(
+        name=surface.name,
+        rank=surface.rank,
+        intersection_matrix=surface.form.matrix,
+        canonical_class=surface.canonical_class.coefficients,
+        chi_structure_sheaf=surface.chi_structure_sheaf,
+        negative_curves=tuple(c.coefficients for c in surface.negative_curves),
+        mori_generators=tuple(g.coefficients for g in surface.mori_generators),
+        effective_generators=tuple(g.coefficients for g in surface.effective_generators),
+        regime=surface.regime.value,
+    )
+    data = json.loads(json.dumps(spec.to_dict()))
+    return load_surface(SurfaceSpec.from_dict(data), strict=True)
+
+
 class TestFixtures:
     def test_shipped_list(self):
-        names = list_fixtures()
-        expected = {f"dp{k}" for k in range(9)} | {f"f{n}" for n in range(5)} | {"gdp2"}
-        assert set(names) == expected
+        assert set(list_fixtures()) == {"f2", "gdp2"}
 
+    # The catalog builds dp0..dp8 and fN itself; the spec format must carry
+    # each of them unchanged.
     @pytest.mark.parametrize("k", range(9))
     def test_dp_fixture_matches_constructor(self, k):
-        loaded = load_surface(SurfaceSpec.from_file(fixture_path(f"dp{k}")))
         built = make_del_pezzo(k)
-        assert loaded.form == built.form
-        assert loaded.canonical_class == built.canonical_class
-        assert loaded.negative_curves == built.negative_curves
-        assert loaded.mori_generators == built.mori_generators
-        assert loaded.regime is built.regime
+        assert surface_fields(round_trip(built)) == surface_fields(built)
 
     @pytest.mark.parametrize("n", range(5))
     def test_f_fixture_matches_constructor(self, n):
-        loaded = load_surface(SurfaceSpec.from_file(fixture_path(f"f{n}")))
         built = make_hirzebruch(n)
-        assert loaded.form == built.form
-        assert loaded.canonical_class == built.canonical_class
-        assert loaded.negative_curves == built.negative_curves
+        assert surface_fields(round_trip(built)) == surface_fields(built)
+
+    def test_shipped_f2_matches_constructor(self):
+        loaded = load_surface(SurfaceSpec.from_file(fixture_path("f2")), strict=True)
+        assert surface_fields(loaded) == surface_fields(make_hirzebruch(2))
 
     def test_unknown_fixture(self):
         with pytest.raises(UnknownSurfaceError):

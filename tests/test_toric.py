@@ -42,6 +42,8 @@ def reference_count(p: HalfplaneSet) -> int:
     if not constraints:
         raise UnboundedPolytopeError("no constraints: the whole plane is feasible")
     normals = [c[0] for c in constraints]
+    if not any(vx or vy for vx, vy in normals):
+        raise UnboundedPolytopeError("every normal is zero: no direction is bounded")
     for vx, vy in normals:
         for u in ((-vy, vx), (vy, -vx)):
             if u != (0, 0) and all(u[0] * wx + u[1] * wy >= 0 for wx, wy in normals):
@@ -188,6 +190,21 @@ class TestCounting:
             count_lattice_points(HalfplaneSet(()))
 
     @pytest.mark.parametrize(
+        "constraints",
+        [
+            # 0 >= 0 holds on the whole plane.
+            (((0, 0), 0),),
+            # Infeasible, but no constraint bounds any direction either.
+            (((0, 0), 3), ((0, 0), -1)),
+        ],
+    )
+    def test_all_zero_normals_rejected(self, constraints):
+        p = HalfplaneSet(constraints)
+        for count in (count_lattice_points, reference_count):
+            with pytest.raises(UnboundedPolytopeError, match="every normal is zero"):
+                count(p)
+
+    @pytest.mark.parametrize(
         "constraints, expected",
         [
             # -3/2 <= x <= -1/3, -5/2 <= y <= -1/2: x = -1, y in {-2, -1}.
@@ -206,6 +223,8 @@ class TestCounting:
             ((((-1, 2), -1), ((1, -2), 1), ((1, 0), 0), ((-1, 0), 4)), 2),
             # 1/3 <= x <= 2/3: no integer column.
             ((((3, 0), -1), ((-3, 0), 2), ((0, 1), 0), ((0, -1), 5)), 0),
+            # A zero normal with offset -1 (0 >= 1) empties the unit square.
+            ((((1, 0), 0), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 1), ((0, 0), -1)), 0),
         ],
     )
     def test_fractional_and_degenerate_regions(self, constraints, expected):
