@@ -11,11 +11,11 @@ is a genuine differential test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from operator import mul
+from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
+from operator import add, mul
 
-from .catalog import make_del_pezzo, make_hirzebruch
+from .catalog import catalog_surface, make_del_pezzo
 from .errors import RankMismatchError, UnboundedPolytopeError, UnknownSurfaceError
 from .lattice import DivisorClass, SurfaceModel
 
@@ -82,56 +82,62 @@ def _hirzebruch_model(n: int) -> ToricSurface:
     )
 
 
-# Blowups of the plane at torus-fixed points; ray divisors written in the
-# (H, E_1, ..., E_k) basis of the paired del Pezzo surface.
-_DEL_PEZZO_MODELS = {
-    1: ToricSurface(
-        name="dp1",
-        rays=((1, 0), (0, 1), (-1, -1), (0, -1)),
-        class_map=((1, 1, 1, 0), (-1, 0, -1, 1)),
-        lift_map=((0, 0), (1, 0), (0, 0), (0, 1)),
-    ),
-    2: ToricSurface(
-        name="dp2",
-        rays=((1, 0), (0, 1), (-1, 0), (-1, -1), (0, -1)),
-        class_map=((1, 1, 0, 1, 0), (0, -1, 1, -1, 0), (-1, 0, 0, -1, 1)),
-        lift_map=((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 0), (0, 0, 1)),
-    ),
-    3: ToricSurface(
-        name="dp3",
-        rays=((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
-        class_map=(
-            (1, 0, 1, 0, 1, 0),
-            (0, 0, -1, 1, -1, 0),
-            (-1, 0, 0, 0, -1, 1),
-            (-1, 1, -1, 0, 0, 0),
-        ),
-        lift_map=(
-            (0, 0, 0, 0),
-            (0, 0, 0, 1),
-            (0, 0, 0, 0),
-            (1, 1, 0, 0),
-            (1, 0, 0, 0),
-            (1, 0, 1, 0),
-        ),
-    ),
-}
+# The plane: three rays, each of class H, and H lifts to the first.
+_PLANE = ToricSurface(
+    name="p2",
+    rays=((1, 0), (0, 1), (-1, -1)),
+    class_map=((1, 1, 1),),
+    lift_map=((1,), (0,), (0,)),
+)
 
-ORACLE_NAMES = ("f0", "f1", "f2", "f3", "f4", "dp1", "dp2", "dp3")
+# Blow-up sequences of the plane, one position per step, in the basis
+# (H, E_1, ..., E_k) of the paired catalog surface.
+_BLOW_UPS = {"dp1": (2,), "dp2": (1, 3), "dp3": (1, 3, 0), "gdp2": (0, 0)}
+
+ORACLE_NAMES = ("f0", "f1", "f2", "f3", "f4") + tuple(_BLOW_UPS)
+
+
+def _blow_up(t: ToricSurface, i: int) -> ToricSurface:
+    """Blow up the torus-fixed point between ray i and the next one, wrapping.
+
+    The ray v_i + v_{i+1} goes in after ray i and the basis gains E: the new
+    ray's class is E, rays i and i+1 lose E, and E lifts to the new ray. Each
+    old basis vector's lift puts the sum of its coefficients on rays i and
+    i+1 on the new ray, so class_map o lift_map stays the identity.
+    """
+    j = (i + 1) % len(t.rays)
+    (vx, vy), (wx, wy) = t.rays[i], t.rays[j]
+
+    def insert(row: tuple, value) -> tuple:
+        return row[: i + 1] + (value,) + row[i + 1 :]
+
+    exceptional = tuple(-1 if r in (i, j) else 0 for r in range(len(t.rays)))
+    return ToricSurface(
+        name=t.name,
+        rays=insert(t.rays, (vx + wx, vy + wy)),
+        class_map=tuple(insert(row, 0) for row in t.class_map)
+        + (insert(exceptional, 1),),
+        lift_map=insert(
+            tuple(row + (0,) for row in t.lift_map),
+            tuple(map(add, t.lift_map[i], t.lift_map[j])) + (1,),
+        ),
+    )
 
 
 def toric_model(name: str) -> tuple[ToricSurface, SurfaceModel]:
     """Fan and paired Picard model for one of the supported catalog names."""
     key = name.strip().lower()
-    if key in ("f0", "f1", "f2", "f3", "f4"):
-        n = int(key[1])
-        return _hirzebruch_model(n), make_hirzebruch(n)
-    if key in ("dp1", "dp2", "dp3"):
-        k = int(key[2])
-        return _DEL_PEZZO_MODELS[k], make_del_pezzo(k)
-    raise UnknownSurfaceError(
-        f"no toric model named {name!r}; available: {', '.join(ORACLE_NAMES)}"
-    )
+    if key not in ORACLE_NAMES:
+        raise UnknownSurfaceError(
+            f"no toric model named {name!r}; available: {', '.join(ORACLE_NAMES)}"
+        )
+    if key in _BLOW_UPS:
+        toric = replace(reduce(_blow_up, _BLOW_UPS[key], _PLANE), name=key)
+    else:
+        toric = _hirzebruch_model(int(key[1]))
+    # perfbench/tracer.py patches make_del_pezzo in this module.
+    surface = make_del_pezzo(int(key[2])) if key.startswith("dp") else catalog_surface(key)
+    return toric, surface
 
 
 def polytope_from_ray_coefficients(

@@ -29,6 +29,7 @@ from conftest import (
 from surfcoh import (
     DivisorClass,
     MINUS_ONE_CURVE_COUNTS,
+    ORACLE_NAMES,
     certify_vanishing,
     cohomology,
     del_pezzo_h0,
@@ -51,7 +52,7 @@ from surfcoh.cli import main as cli_main
 D = DivisorClass
 BOX = (-6, 6)
 
-ORACLE_SURFACES = ("f0", "f1", "f2", "f3", "f4", "dp1", "dp2", "dp3")
+ORACLE_SURFACES = ORACLE_NAMES
 SAMPLED_DEL_PEZZO = {4: 1000, 5: 800, 6: 500, 7: 300, 8: 150}
 
 

@@ -10,7 +10,13 @@ import sys
 import pytest
 
 import surfcoh.transform
-from surfcoh import MINUS_ONE_CURVE_COUNTS, fixture_path, is_effective, make_del_pezzo
+from surfcoh import (
+    MINUS_ONE_CURVE_COUNTS,
+    ORACLE_NAMES,
+    fixture_path,
+    is_effective,
+    make_del_pezzo,
+)
 from surfcoh.cli import main
 
 
@@ -169,6 +175,7 @@ class TestOracleCheckCommand:
         code, _, err = run_cli(capsys, "oracle-check", "--surface", "dp5", "--class", "0,0,0,0,0,0")
         assert code == 2
         assert "--oracle" in err
+        assert f"available: {', '.join(ORACLE_NAMES)}" in err and "gdp2" in err
 
 
 from conftest import box_classes, corrupt_f2_spec
@@ -189,6 +196,22 @@ class TestScanCommand:
         assert data["classes"] == 25
         assert data["mismatches"] == 0
         assert data["mismatch_details"] == []
+
+    def test_gdp2_scan_clean(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "scan", "--surface", "gdp2", "--box", "-2..2", "--format", "json"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert (data["oracle"], data["classes"], data["mismatches"]) == ("gdp2", 125, 0)
+
+    def test_copied_gdp2_spec_gets_its_oracle(self, capsys, tmp_path):
+        # The oracle is found by the surface's own name, not the file's.
+        path = tmp_path / "my_surface.json"
+        shutil.copy(fixture_path("gdp2"), path)
+        code, out, _ = run_cli(capsys, "scan", "--surface", str(path), "--box", "-1..1")
+        assert code == 0
+        assert "oracle: gdp2" in out and "mismatches: 0" in out
 
     def test_corrupted_fixture_yields_nonzero_exit(self, capsys, tmp_path):
         path = corrupt_f2_spec(tmp_path)

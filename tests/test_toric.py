@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 from conftest import box_classes, sampled_box_classes
 from surfcoh import toric as toric_module
 from surfcoh import (
+    ORACLE_NAMES,
     DivisorClass,
     HalfplaneSet,
+    IntersectionForm,
+    Regime,
     RankMismatchError,
+    SurfaceModel,
     UnboundedPolytopeError,
     UnknownSurfaceError,
     cohomology,
@@ -29,7 +33,58 @@ from surfcoh import (
 
 D = DivisorClass
 
-MODEL_NAMES = ("f0", "f1", "f2", "f3", "f4", "dp1", "dp2", "dp3")
+MODEL_NAMES = ORACLE_NAMES
+
+
+def ray_classes(toric) -> list[DivisorClass]:
+    """The Picard class of each ray divisor D_i, the columns of class_map."""
+    return [D(column) for column in zip(*toric.class_map)]
+
+
+def ray_degrees(toric) -> list[int]:
+    """a_i with v_(i-1) + v_(i+1) = a_i v_i for each ray; D_i^2 = -a_i."""
+    rays = toric.rays
+    degrees = []
+    for i, (vx, vy) in enumerate(rays):
+        (bx, by), (ax, ay) = rays[i - 1], rays[(i + 1) % len(rays)]
+        a = (bx + ax) // vx if vx else (by + ay) // vy
+        assert (bx + ax, by + ay) == (a * vx, a * vy), (toric.name, i)
+        degrees.append(a)
+    return degrees
+
+
+def fan_surface(toric, regime: Regime) -> SurfaceModel:
+    """The Picard model a blow-up of the plane reads off its fan.
+
+    The basis is H and the total transforms E_1, ..., E_k, so the form is
+    diag(1, -1, ..., -1). K = -sum D_i; the negative curves are the D_i with
+    a_i > 0 (every negative curve of a toric surface is torus-invariant), and
+    the D_i generate both the Mori cone and the effective cone.
+    """
+    rank = toric.rank
+    classes = ray_classes(toric)
+    return SurfaceModel(
+        name=toric.name,
+        rank=rank,
+        form=IntersectionForm(
+            [[(1 if i == 0 else -1) if i == j else 0 for j in range(rank)] for i in range(rank)]
+        ),
+        canonical_class=-sum(classes, D.zero(rank)),
+        chi_structure_sheaf=1,
+        negative_curves=tuple(c for c, a in zip(classes, ray_degrees(toric)) if a > 0),
+        mori_generators=tuple(classes),
+        effective_generators=tuple(classes),
+        regime=regime,
+    )
+
+
+@st.composite
+def blown_up_planes(draw):
+    """The plane blown up 1-4 times at torus-fixed points, so rank <= 5."""
+    toric = toric_module._PLANE
+    for _ in range(draw(st.integers(1, 4))):
+        toric = toric_module._blow_up(toric, draw(st.integers(0, len(toric.rays) - 1)))
+    return toric
 
 
 def reference_count(p: HalfplaneSet) -> int:
@@ -129,19 +184,19 @@ class TestModels:
         # The toric self-intersection of each boundary divisor, read from
         # adjacent rays, must match the Picard pairing of its class.
         toric, surface = toric_model(name)
-        nrays = len(toric.rays)
-        for i in range(nrays):
-            before = toric.rays[(i - 1) % nrays]
-            after = toric.rays[(i + 1) % nrays]
-            v = toric.rays[i]
-            # before + after = a * v determines the self-intersection -a.
-            if v[0]:
-                a, rem = divmod(before[0] + after[0], v[0])
-            else:
-                a, rem = divmod(before[1] + after[1], v[1])
-            assert rem == 0
-            cls = D([toric.class_map[k][i] for k in range(toric.rank)])
+        for cls, a in zip(ray_classes(toric), ray_degrees(toric)):
             assert surface.form.pairing(cls, cls) == -a
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_canonical_class_is_minus_the_ray_sum(self, name):
+        toric, surface = toric_model(name)
+        assert -sum(ray_classes(toric), D.zero(toric.rank)) == surface.canonical_class
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_negative_curves_are_the_rays_of_positive_degree(self, name):
+        toric, surface = toric_model(name)
+        curves = {c for c, a in zip(ray_classes(toric), ray_degrees(toric)) if a > 0}
+        assert curves == set(surface.negative_curves)
 
 
 class TestPolytopes:
@@ -302,3 +357,20 @@ class TestOracle:
         toric, surface = toric_model(name)
         for d in box_classes(surface.rank, -3, 3):
             assert cohomology(surface, d).h0 == oracle_h0(toric, d)
+
+
+class TestBlowUpSequences:
+    @settings(max_examples=40)
+    @given(blown_up_planes())
+    def test_certified_h0_equals_the_count(self, toric):
+        # Read as a toric surface, Demazure certifies every nef limit. Read as
+        # `general`, the same lattice data must certify by Kawamata-Viehweg or
+        # answer unknown; an unknown is never counted as a match.
+        as_toric = fan_surface(toric, Regime.TORIC_CONVEX_FAN)
+        as_general = fan_surface(toric, Regime.GENERAL)
+        count = min(200, 9**toric.rank)
+        for d in sampled_box_classes(toric.rank, count, f"blow-ups:{toric.rays}", -4, 4):
+            expected = oracle_h0(toric, d)
+            assert cohomology(as_toric, d).h0 == expected, d
+            h0 = cohomology(as_general, d).h0
+            assert h0 is None or h0 == expected, d
