@@ -8,8 +8,13 @@ rational arithmetic. Problem sizes here are tiny (rank <= 9, at most a
 few hundred generators), which keeps the dense tableau cheap.
 
 A target outside the cone leaves the simplex with a separating vector w:
-w.g >= 0 for every generator g and w.target < 0. Each cone keeps the last
-few; one of them settles most later non-members with a dot product.
+w.g >= 0 for every generator g and w.target < 0. A target inside it whose
+final basis consists of generators leaves a member witness: the rows of W
+with W.B = det * I, B the basis generators, so that W.t >= 0 in every row
+writes t as a non-negative combination of B. Each cone keeps the last few
+of each; one of them settles most later targets with a few dot products.
+A target on a lower-dimensional face can end with an artificial column
+still basic; that run yields no witness.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from typing import Iterable
 from .errors import RankMismatchError
 from .lattice import DivisorClass
 
+# (rows, basis, det): rows[j] . generators[basis[k]] == det if j == k else 0.
+_Witness = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]
+
 
 class Cone:
     """V-representation of a rational polyhedral cone.
@@ -28,18 +36,22 @@ class Cone:
     ``_coefficients`` holds the generators' coefficient vectors for the
     simplex, and ``_hash`` the hash of the generators; both are built once
     here because every membership test keys its memo on the cone.
-    ``_separators`` holds up to ``_SEPARATORS`` separating vectors found by
-    earlier decisions, newest first. It is the one mutable part of a cone
-    and takes no part in equality or hashing; threads that race on it can
-    drop or repeat an entry, but every entry stays a valid separator.
+    ``_separators`` holds up to ``_KEPT`` separating vectors found by
+    earlier decisions, newest first, and ``_witnesses`` up to ``_KEPT``
+    member witnesses ``(rows, basis, det)``: the rows of det times the
+    inverse of the basis generators ``generators[basis[j]]``, each checked
+    exactly before it is kept. These lists are the mutable part of a cone
+    and take no part in equality or hashing; threads that race on them can
+    drop or repeat an entry, but every entry stays a valid certificate.
     """
 
-    __slots__ = ("generators", "_coefficients", "_hash", "_separators")
+    __slots__ = ("generators", "_coefficients", "_hash", "_separators", "_witnesses")
 
     generators: tuple[DivisorClass, ...]
     _coefficients: tuple[tuple[int, ...], ...]
     _hash: int
     _separators: list[tuple[int, ...]]
+    _witnesses: list[_Witness]
 
     def __init__(self, generators: Iterable[DivisorClass]):
         gens = tuple(
@@ -56,6 +68,7 @@ class Cone:
         object.__setattr__(self, "_coefficients", tuple(g.coefficients for g in gens))
         object.__setattr__(self, "_hash", hash(gens))
         object.__setattr__(self, "_separators", [])
+        object.__setattr__(self, "_witnesses", [])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cone is immutable")
@@ -92,9 +105,11 @@ def cone_contains(cone: Cone, d: DivisorClass) -> bool:
 # over a workload's distinct decisions (a few thousand) stays in the memo.
 _MEMO_SIZE = 2**15
 
-# Separating vectors kept per cone. Few are needed: over the dp3 scan boxes
-# -5..0 to -2..3, four found by the simplex settled all other non-members.
-_SEPARATORS = 8
+# Separating vectors, and member witnesses, kept per cone. Few are needed:
+# over the dp3 scan boxes -5..0 to -2..3, four separators found by the
+# simplex settled all other non-members; over the dp3 box [-4, 4]^4, four
+# witnesses settled all members but the 56 whose runs left none.
+_KEPT = 8
 
 # Dantzig's rule is allowed _STALL_FACTOR * (m + n + 5) consecutive pivots
 # that leave the objective unchanged before Bland's rule takes over.
@@ -108,37 +123,52 @@ def _decision(cone: Cone, target: tuple[int, ...]) -> bool:
     The key is the cone itself: its hash is kept, and a lookup from the
     same cone object compares it by identity, so only the target is hashed.
     Equal cones built separately compare equal and share entries.
-    A miss tries the cone's separating vectors before the simplex.
+    A miss tries the cone's separating vectors, then its member witnesses,
+    before the simplex.
     """
     separators = cone._separators
     for w in separators:
         if sum(map(mul, w, target)) < 0:
             return False
+    witnesses = cone._witnesses
+    for rows, _, _ in witnesses:
+        for row in rows:
+            if sum(map(mul, row, target)) < 0:
+                break
+        else:
+            return True
     generators = cone._coefficients
-    w = _separating_vector(generators, target)
+    w, witness = _phase1(generators, target)
     if w is None:
+        if witness is not None:
+            rows, basis, det = witness
+            if det <= 0 or any(
+                sum(map(mul, row, generators[i])) != (det if j == k else 0)
+                for j, row in enumerate(rows)
+                for k, i in enumerate(basis)
+            ):
+                raise ArithmeticError("phase-1 basis inverse is not exact; tableau corrupt")
+            witnesses.insert(0, witness)
+            del witnesses[_KEPT:]
         return True
     if sum(map(mul, w, target)) >= 0 or any(
         sum(map(mul, w, g)) < 0 for g in generators
     ):
         raise ArithmeticError("phase-1 dual does not separate; tableau corrupt")
     separators.insert(0, w)
-    del separators[_SEPARATORS:]
+    del separators[_KEPT:]
     return False
 
 
-def _nonnegative_combination_exists(
+def _phase1(
     generators: tuple[tuple[int, ...], ...], target: tuple[int, ...]
-) -> bool:
-    """Exact feasibility of  sum_i x_i * g_i = target,  x_i >= 0."""
-    return _separating_vector(generators, target) is None
+) -> tuple[tuple[int, ...] | None, _Witness | None]:
+    """(separator, witness) for  sum_i x_i * g_i = target,  x_i >= 0.
 
-
-def _separating_vector(
-    generators: tuple[tuple[int, ...], ...], target: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """None if  sum_i x_i * g_i = target  has a solution x >= 0, else a
-    separating vector w: w.g_i >= 0 for every i and w.target < 0.
+    Without a solution x >= 0 the separator is a vector w with w.g_i >= 0
+    for every i and w.target < 0, and the witness None. With one, the
+    separator is None, and the witness is ``(rows, basis, det)`` when the
+    final basis consists of generators, else None.
 
     Phase-1 simplex: minimise the sum of one artificial variable per
     coordinate; feasible iff the optimum is zero. Pivots follow Dantzig's
@@ -158,11 +188,17 @@ def _separating_vector(
     At an optimum above zero the phase-1 dual y separates: the cost entry
     of artificial column j is det * (1 - y_j), so y can be read off it, and
     w_j = -sign_j * det * y_j undoes the sign flip of row j.
+
+    At an optimum of zero whose basis holds no artificial column, the
+    artificial columns hold det times the inverse of the sign-flipped basis
+    matrix. Multiplying artificial column j by sign_j undoes the flip, which
+    leaves rows W with W.B = det * I: row j gives det * x of the generator
+    basic in row j, for this target and any other.
     """
     n = len(target)
     m = len(generators)
     if m == 0:
-        return None if all(t == 0 for t in target) else tuple([-t for t in target])
+        return None if all(t == 0 for t in target) else tuple([-t for t in target]), None
 
     ncols = m + n
     tableau: list[list[int]] = []
@@ -198,9 +234,15 @@ def _separating_vector(
             if worst < 0:
                 entering = cost.index(worst)
         if entering < 0:
-            if cost[ncols] == 0:
-                return None
-            return tuple([sign * (cost[m + j] - det) for j, sign in enumerate(signs)])
+            if cost[ncols]:
+                w = tuple([sign * (cost[m + j] - det) for j, sign in enumerate(signs)])
+                return w, None
+            if max(basis) >= m:
+                return None, None
+            rows = tuple(
+                tuple([x * sign for x, sign in zip(row[m:ncols], signs)]) for row in tableau
+            )
+            return None, (rows, tuple(basis), det)
         # Ratio test on rhs / a, compared as rhs * best_a against best_rhs * a.
         leaving = -1
         best_rhs = best_a = 0

@@ -71,6 +71,17 @@ def small_rank_surfaces() -> list[SurfaceModel]:
 SAMPLED_DEL_PEZZO = {4: 1000, 5: 800, 6: 500, 7: 300, 8: 150}
 
 
+def del_pezzo_acceptance_sample(k: int) -> tuple[list[DivisorClass], list[DivisorClass]]:
+    """The seeded acceptance sample of dP_k, k in SAMPLED_DEL_PEZZO: Mori
+    combinations (effective by construction) and 400 classes of the
+    [-6, 6] box (effective or not)."""
+    surface = make_del_pezzo(k)
+    return (
+        sampled_effective_classes(surface, SAMPLED_DEL_PEZZO[k], f"acceptance:{k}"),
+        sampled_box_classes(surface.rank, 400, f"acceptance-box:{k}"),
+    )
+
+
 def box_classes(rank: int, lo: int = -6, hi: int = 6):
     for coeffs in itertools.product(range(lo, hi + 1), repeat=rank):
         yield DivisorClass(coeffs)

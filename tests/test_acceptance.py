@@ -19,12 +19,12 @@ import shutil
 import pytest
 
 from conftest import (
+    SAMPLED_DEL_PEZZO,
     box_classes,
     corrupt_f2_spec,
+    del_pezzo_acceptance_sample,
     gdp2_surface,
     k3_like_surface,
-    sampled_box_classes,
-    sampled_effective_classes,
 )
 from surfcoh import (
     DivisorClass,
@@ -53,7 +53,6 @@ D = DivisorClass
 BOX = (-6, 6)
 
 ORACLE_SURFACES = ORACLE_NAMES
-SAMPLED_DEL_PEZZO = {4: 1000, 5: 800, 6: 500, 7: 300, 8: 150}
 
 
 def exhaustive_surfaces():
@@ -71,14 +70,10 @@ def effective_classes():
     for surface in exhaustive_surfaces():
         classes = [d for d in box_classes(surface.rank, *BOX) if is_effective(surface, d)]
         mapping[surface.name] = (classes, "exhaustive")
-    for k, count in SAMPLED_DEL_PEZZO.items():
+    for k in SAMPLED_DEL_PEZZO:
         surface = make_del_pezzo(k)
-        classes = sampled_effective_classes(surface, count, f"acceptance:{k}")
-        classes += [
-            d
-            for d in sampled_box_classes(surface.rank, 400, f"acceptance-box:{k}", *BOX)
-            if is_effective(surface, d)
-        ]
+        classes, box = del_pezzo_acceptance_sample(k)
+        classes += [d for d in box if is_effective(surface, d)]
         mapping[surface.name] = (classes, f"sampled (n={len(classes)})")
     return mapping
 

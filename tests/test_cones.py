@@ -4,7 +4,8 @@
 ``Fraction``: the same pivot rules (Dantzig, then Bland once the objective
 stalls; ratio ties to the lower basis index), but every entry an exact
 rational. The library's fraction-free simplex must reach the same decision
-on every input.
+on every input, and every certificate it hands out (a separating vector
+for a non-member, a member witness for a member) must be exact.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ from conftest import gdp2_surface, sampled_box_classes, sampled_effective_classe
 from surfcoh import Cone, DivisorClass, make_del_pezzo, make_hirzebruch
 from surfcoh import cones
 
-simplex = cones._nonnegative_combination_exists
+
+def simplex(generators, target) -> bool:
+    """Exact feasibility of  sum_i x_i * g_i = target,  x_i >= 0."""
+    return cones._phase1(generators, target)[0] is None
 
 
 def reference_decision(
@@ -221,13 +225,35 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def exact_witness(generators, witness) -> bool:
+    """rows . generators[basis] == det * I, with det > 0."""
+    rows, basis, det = witness
+    return (
+        det > 0
+        and len(rows) == len(basis) == len(generators[0])
+        and all(
+            _dot(row, generators[i]) == (det if j == k else 0)
+            for j, row in enumerate(rows)
+            for k, i in enumerate(basis)
+        )
+    )
+
+
+def proves_member(witness, target) -> bool:
+    return all(_dot(row, target) >= 0 for row in witness[0])
+
+
 class TestSeparators:
     def test_every_non_member_gets_a_separating_vector(self, catalog_cases):
         for key, target, (expected, _, _) in catalog_cases:
-            w = cones._separating_vector(key, target)
+            w, witness = cones._phase1(key, target)
             if expected:
                 assert w is None, (key, target)
+                if witness is not None:
+                    assert exact_witness(key, witness), (key, target, witness)
+                    assert proves_member(witness, target), (key, target, witness)
             else:
+                assert witness is None, (key, target)
                 assert separates(key, target, w), (key, target, w)
 
     @pytest.mark.parametrize(
@@ -239,27 +265,34 @@ class TestSeparators:
         key = _key(surface)
         cone = Cone(key)
         simplex_runs = []
-        inner = cones._separating_vector
+        inner = cones._phase1
 
         def counting(generators, target):
             simplex_runs.append(target)
             return inner(generators, target)
 
-        monkeypatch.setattr(cones, "_separating_vector", counting)
+        monkeypatch.setattr(cones, "_phase1", counting)
         targets = [c for c in itertools.product(range(-4, 5), repeat=surface.rank) if any(c)]
         decisions = [cones.cone_contains(cone, DivisorClass(t)) for t in targets]
         monkeypatch.undo()
         assert decisions == [simplex(key, t) for t in targets]
-        non_members = decisions.count(False)
-        members = len(targets) - non_members
-        # Kept separators settle most non-members without the simplex.
-        assert len(simplex_runs) - members < non_members / 4
-        assert 0 < len(cone._separators) <= cones._SEPARATORS
+        decided = dict(zip(targets, decisions))
+        members = decisions.count(True)
+        non_members = len(targets) - members
+        member_runs = sum(decided[t] for t in simplex_runs)
+        # Kept separators settle most non-members without the simplex, and
+        # kept witnesses most members.
+        assert len(simplex_runs) - member_runs < non_members / 4
+        assert member_runs < members / 4
+        assert 0 < len(cone._separators) <= cones._KEPT
         assert all(all(_dot(w, g) >= 0 for g in key) for w in cone._separators)
+        assert 0 < len(cone._witnesses) <= cones._KEPT
+        assert all(exact_witness(key, witness) for witness in cone._witnesses)
 
     def test_empty_cone_separates_every_nonzero_target(self):
-        assert cones._separating_vector((), (0, 0)) is None
-        assert separates((), (2, -1), cones._separating_vector((), (2, -1)))
+        assert cones._phase1((), (0, 0)) == (None, None)
+        w, witness = cones._phase1((), (2, -1))
+        assert separates((), (2, -1), w) and witness is None
 
 
 def _generator_sets():
@@ -276,15 +309,36 @@ def _generator_sets():
             scale = draw(st.sampled_from((1, 2, 3, -1)))
             gens.append([scale * x for x in g])
         gens = draw(st.permutations(gens))
-        # Targets: zero-heavy coordinates, or sums of generators (boundary points).
-        if draw(st.booleans()):
-            target = draw(
-                st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=rank, max_size=rank)
-            )
-        else:
-            picked = draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
-            target = [sum(col) for col in zip(*picked)]
-        return tuple(tuple(g) for g in gens), tuple(target)
+        gens = tuple(tuple(g) for g in gens)
+        return gens, draw(_targets(gens))
+
+    return build()
+
+
+def _targets(generators):
+    """Zero-heavy coordinates, or sums of generators (boundary points)."""
+    rank = len(generators[0])
+    zero_heavy = st.lists(
+        st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=rank, max_size=rank
+    ).map(tuple)
+    sums = st.lists(st.sampled_from(generators), min_size=1, max_size=3).map(
+        lambda picked: tuple(sum(col) for col in zip(*picked))
+    )
+    return st.one_of(zero_heavy, sums)
+
+
+def _shared_cone_cases():
+    """One generator set with several targets, among them repeats, multiples
+    and opposites of earlier ones."""
+
+    @st.composite
+    def build(draw):
+        generators, target = draw(_generator_sets())
+        targets = [target] + draw(st.lists(_targets(generators), min_size=1, max_size=6))
+        for t in draw(st.lists(st.sampled_from(targets), max_size=4)):
+            scale = draw(st.sampled_from((1, 2, -1)))
+            targets.append(tuple(scale * x for x in t))
+        return generators, draw(st.permutations(targets))
 
     return build()
 
@@ -298,11 +352,27 @@ class TestDegenerateInputs:
     @given(_generator_sets())
     def test_separating_vector_matches_reference(self, case):
         generators, target = case
-        w = cones._separating_vector(generators, target)
+        w, witness = cones._phase1(generators, target)
         if reference_decision(generators, target)[0]:
             assert w is None
+            if witness is not None:
+                assert exact_witness(generators, witness)
+                assert proves_member(witness, target)
         else:
-            assert separates(generators, target, w)
+            assert separates(generators, target, w) and witness is None
+
+    @given(_shared_cone_cases())
+    def test_kept_certificates_keep_decisions(self, case):
+        # Decided through one cone without the memo, so that separators and
+        # witnesses kept from earlier targets settle later ones.
+        generators, targets = case
+        cone = Cone(generators)
+        for target in targets:
+            expected = reference_decision(generators, target)[0]
+            assert cones._decision.__wrapped__(cone, target) == expected, target
+        assert len(cone._separators) <= cones._KEPT
+        assert len(cone._witnesses) <= cones._KEPT
+        assert all(exact_witness(generators, witness) for witness in cone._witnesses)
 
     @given(_generator_sets())
     def test_matches_reference_under_bland(self, case):
