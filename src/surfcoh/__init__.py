@@ -64,7 +64,6 @@ from .toric import (
     toric_model,
 )
 from .transform import (
-    DEFAULT_MAX_ITERATIONS,
     FixedPart,
     TransformStep,
     TransformTrace,
@@ -80,7 +79,6 @@ __all__ = [
     "CohomologyResult",
     "Cone",
     "ConsistencyError",
-    "DEFAULT_MAX_ITERATIONS",
     "DivisorClass",
     "FixedPart",
     "HalfplaneSet",

@@ -114,7 +114,7 @@ def load_surface(spec: SurfaceSpec, strict: bool = False) -> SurfaceModel:
 
     The model checks symmetry of the pairing, lengths of all vectors and
     negativity of every listed curve; this adds evenness of d.(d - K) on
-    the lattice basis (which forces it on the whole lattice) and on every
+    the lattice basis, which forces it on the whole lattice and so on every
     listed vector. With ``strict`` the pairing must additionally be
     unimodular-signature (1, rank - 1), the Hodge index constraint,
     verified by exact congruent diagonalization.
@@ -145,12 +145,6 @@ def load_surface(spec: SurfaceSpec, strict: bool = False) -> SurfaceModel:
                 "canonical_class",
                 f"d.(d - K) is odd on basis vector {i}; lattice data is inconsistent",
             )
-    for field_name in ("negative_curves", "mori_generators", "effective_generators"):
-        for g in getattr(surface, field_name):
-            if form.pairing(g, g - canonical) % 2:
-                raise SpecValidationError(
-                    field_name, f"vector {list(g)} violates d.(d - K) parity"
-                )
     if strict:
         pos, neg, null = signature(spec.intersection_matrix)
         if (pos, neg, null) != (1, rank - 1, 0):

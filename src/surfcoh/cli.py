@@ -28,7 +28,7 @@ from .errors import (
 from .lattice import DivisorClass, SurfaceModel
 from .toric import ORACLE_NAMES, oracle_h0, toric_model
 # is_effective and iterate_to_nef stay bound here: perfbench/tracer.py patches both in this module.
-from .transform import DEFAULT_MAX_ITERATIONS, is_effective, iterate_to_nef  # noqa: F401
+from .transform import is_effective, iterate_to_nef  # noqa: F401
 
 _USAGE_ERROR = 2
 
@@ -91,7 +91,7 @@ def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
 def _cmd_cohomology(args: argparse.Namespace) -> int:
     surface = _resolve_surface(args.surface, args.strict_validation)
     d = _parse_class(args.class_vector, surface)
-    result = cohomology(surface, d, max_iterations=args.max_iterations)
+    result = cohomology(surface, d)
     lines = [result.summary_line(), f"detail: {result.certificate.detail}"]
     if result.trace is not None and result.trace.step_count:
         lines.append(f"input: {list(result.trace.input)}")
@@ -104,7 +104,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 def _cmd_transform(args: argparse.Namespace) -> int:
     surface = _resolve_surface(args.surface, args.strict_validation)
     d = _parse_class(args.class_vector, surface)
-    trace = iterate_to_nef(surface, d, max_iterations=args.max_iterations)
+    trace = iterate_to_nef(surface, d)
     lines = [f"input: {list(trace.input)}"]
     lines.extend(trace.format_steps())
     lines.append(f"limit: {list(trace.limit)}")
@@ -161,7 +161,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     surface = _resolve_surface(args.surface, args.strict_validation)
     d = _parse_class(args.class_vector, surface)
     toric = _oracle_for(args, surface)
-    pipeline = cohomology(surface, d, max_iterations=args.max_iterations).h0
+    pipeline = cohomology(surface, d).h0
     oracle = oracle_h0(toric, d)
     match = pipeline == oracle
     payload = {
@@ -189,7 +189,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     for coeffs in itertools.product(range(lo, hi + 1), repeat=surface.rank):
         d = DivisorClass(coeffs)
         total += 1
-        result = cohomology(surface, d, max_iterations=args.max_iterations)
+        result = cohomology(surface, d)
         # The h0 branch sets the trace exactly when the class is effective.
         if result.trace is not None:
             effective += 1
@@ -249,12 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument(
-            "--max-iterations",
-            type=int,
-            default=DEFAULT_MAX_ITERATIONS,
-            help="cap on transform steps (default %(default)s)",
-        )
-        p.add_argument(
             "--strict-validation",
             action="store_true",
             help="additionally require intersection signature (1, rank-1) on loaded spec files",
@@ -307,11 +301,6 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_absorb_negative_values(list(argv)))
     try:
-        if args.max_iterations < 0:
-            raise CliError(
-                f"--max-iterations must be non-negative, got {args.max_iterations}",
-                _USAGE_ERROR,
-            )
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

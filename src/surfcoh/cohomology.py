@@ -22,13 +22,7 @@ from .lattice import (
     intersect,
     serre_dual,
 )
-from .transform import (
-    DEFAULT_MAX_ITERATIONS,
-    TransformTrace,
-    is_effective,
-    is_nef,
-    iterate_to_nef,
-)
+from .transform import TransformTrace, is_effective, is_nef, iterate_to_nef
 
 
 class CertificateRule(Enum):
@@ -131,11 +125,11 @@ _NOT_EFFECTIVE = VanishingCertificate(
 
 
 def _h0_branch(
-    surface: SurfaceModel, d: DivisorClass, max_iterations: int
+    surface: SurfaceModel, d: DivisorClass
 ) -> tuple[int | None, TransformTrace | None, VanishingCertificate]:
     # iterate_to_nef decides effectiveness itself; one decision per branch.
     try:
-        trace = iterate_to_nef(surface, d, max_iterations=max_iterations)
+        trace = iterate_to_nef(surface, d)
     except NotEffectiveError:
         return 0, None, _NOT_EFFECTIVE
     certificate = certify_vanishing(surface, trace.limit)
@@ -150,11 +144,7 @@ def _h0_branch(
     return h0, trace, certificate
 
 
-def cohomology(
-    surface: SurfaceModel,
-    d: DivisorClass,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> CohomologyResult:
+def cohomology(surface: SurfaceModel, d: DivisorClass) -> CohomologyResult:
     """Full cohomology of O(d): h0 via the nef limit, h2 via K - d, h1 by chi.
 
     Non-effective classes short-circuit to h0 = 0 without running the
@@ -162,8 +152,8 @@ def cohomology(
     negative h1 would contradict the index identity and raises instead.
     """
     chi = euler_characteristic(surface, d)
-    h0, trace, certificate = _h0_branch(surface, d, max_iterations)
-    h2, _, _ = _h0_branch(surface, serre_dual(surface, d), max_iterations)
+    h0, trace, certificate = _h0_branch(surface, d)
+    h2, _, _ = _h0_branch(surface, serre_dual(surface, d))
     h1: int | None = None
     if h0 is not None and h2 is not None:
         h1 = h0 + h2 - chi

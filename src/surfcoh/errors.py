@@ -29,7 +29,7 @@ class NotNefError(ValueError):
 
 
 class NonAbutmentError(RuntimeError):
-    """The transform did not reach the nef cone within the iteration cap."""
+    """The transform did not reach the nef cone within D·A steps for an ample A."""
 
 
 class ConsistencyError(RuntimeError):

@@ -9,13 +9,12 @@ step-by-step history is kept as a TransformTrace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 
-from .cones import Cone, cone_contains
+from .cones import Cone, _phase1, cone_contains
 from .errors import ConsistencyError, NonAbutmentError, NotEffectiveError
 from .lattice import DivisorClass, SurfaceModel, _require_rank
-
-DEFAULT_MAX_ITERATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -33,12 +32,6 @@ class FixedPart:
     @property
     def is_empty(self) -> bool:
         return not self.terms
-
-    def total(self, rank: int) -> DivisorClass:
-        acc = DivisorClass.zero(rank)
-        for curve, multiplicity in self.terms:
-            acc = acc + multiplicity * curve
-        return acc
 
     def to_json(self) -> list[dict]:
         return [
@@ -95,14 +88,19 @@ class _Kernel:
     holds M·g for every Mori generator and ``other_mori_duals`` those of the
     Mori generators that are not negative curves: once no negative curve
     meets D negatively, only these can still show that D is not nef.
+
+    ``ample_dual`` is M·A for an integral class A with A·x >= 1 on every
+    Mori generator and negative curve x, so ample by Kleiman's criterion,
+    or None when these lie in no open half-space.
     """
 
-    __slots__ = ("curves", "mori_duals", "other_mori_duals", "cone")
+    __slots__ = ("curves", "mori_duals", "other_mori_duals", "cone", "ample_dual")
 
     curves: tuple[tuple[DivisorClass, tuple[int, ...], int], ...]
     mori_duals: tuple[tuple[int, ...], ...]
     other_mori_duals: tuple[tuple[int, ...], ...]
     cone: Cone
+    ample_dual: tuple[int, ...] | None
 
     def __init__(self, surface: SurfaceModel):
         # One M·c per distinct class, since on dP_k (k >= 2) the Mori
@@ -125,6 +123,16 @@ class _Kernel:
             if g.coefficients not in listed
         )
         self.cone = Cone(surface.effective_generators)
+        # A separator w of (0, ..., 0, -1) from the duals extended by -1 has
+        # w[:-1]·(M·x) >= w[-1] >= 1 for every x.
+        w, _ = _phase1(tuple(x + (-1,) for x in duals.values()), (0,) * surface.rank + (-1,))
+        self.ample_dual = None
+        if w is not None:
+            divisor = gcd(*w[:-1]) or 1
+            ample = tuple([a // divisor for a in w[:-1]])
+            if any(sum(map(mul, ample, x)) < 1 for x in duals.values()):
+                raise ArithmeticError("phase-1 dual is not an ample class; tableau corrupt")
+            self.ample_dual = surface.form.dual(DivisorClass._of_ints(ample))
 
 
 def _kernel(surface: SurfaceModel) -> _Kernel:
@@ -190,19 +198,16 @@ def isoparametric_step(
     return DivisorClass._of_ints(_subtract(d.coefficients, terms)), FixedPart(tuple(terms))
 
 
-def iterate_to_nef(
-    surface: SurfaceModel,
-    d: DivisorClass,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> TransformTrace:
+def iterate_to_nef(surface: SurfaceModel, d: DivisorClass) -> TransformTrace:
     """Iterate the step until the fixed part is empty; the limit is nef.
 
     The negatively-met curve set is recomputed from the current class each
-    round, since it changes between steps. The iteration cap guards
-    against malformed surface data; genuine inputs abut within a few steps.
+    round, since it changes between steps. Each step lowers D·A by at least
+    1 for the kernel's ample class A and an effective limit has D·A >= 0,
+    so genuine inputs abut within D·A steps; more steps than that raise
+    NonAbutmentError, and a step on a surface without an ample class raises
+    ConsistencyError.
     """
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     if not is_effective(surface, d):
         raise NotEffectiveError(
             f"class {d} is not effective on {surface.name!r}; iteration may not terminate"
@@ -211,6 +216,8 @@ def iterate_to_nef(
     steps: list[TransformStep] = []
     current = d
     coeffs = d.coefficients
+    ample = kernel.ample_dual
+    bound = None if ample is None else sum(map(mul, ample, coeffs))
     while True:
         terms = _fixed_part(kernel, coeffs)
         if not terms:
@@ -222,9 +229,15 @@ def iterate_to_nef(
                     f"negative curve list is incomplete"
                 )
             return TransformTrace(input=d, steps=tuple(steps), limit=current)
-        if len(steps) >= max_iterations:
+        if bound is None:
+            raise ConsistencyError(
+                f"the Mori generators and negative curves of {surface.name!r} lie in "
+                f"no open half-space, so no class is ample; the transform of {d} "
+                f"cannot be bounded"
+            )
+        if len(steps) >= bound:
             raise NonAbutmentError(
-                f"no nef limit within {max_iterations} steps starting from {d} "
+                f"no nef limit within D·A = {bound} steps starting from {d} "
                 f"on {surface.name!r}; surface data is likely inconsistent"
             )
         coeffs = _subtract(coeffs, terms)

@@ -114,34 +114,6 @@ class TestTransformCommand:
             [0, 0, 1],
         ]
 
-    def test_max_iterations_flag(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "transform",
-            "--surface",
-            "gdp2",
-            "--class",
-            "2,2,0",
-            "--max-iterations",
-            "2",
-        )
-        assert code == 1
-        assert "2 steps" in err
-
-    def test_negative_max_iterations_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "transform",
-            "--surface",
-            "gdp2",
-            "--class",
-            "2,2,0",
-            "--max-iterations",
-            "-3",
-        )
-        assert code == 2
-        assert "--max-iterations" in err
-
 
 class TestCatalogCommand:
     @pytest.mark.parametrize("k", range(9))

@@ -90,8 +90,8 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _library_iterate(surface, d, max_iterations: int = 1000):
-    trace = iterate_to_nef(surface, d, max_iterations=max_iterations)
+def _library_iterate(surface, d):
+    trace = iterate_to_nef(surface, d)
     steps = [(step.fixed_part.terms, step.result) for step in trace.steps]
     return steps, trace.limit
 
@@ -154,17 +154,6 @@ class TestAgainstReference:
             if reference_is_effective(surface, d):
                 deepest = max(deepest, len(reference_iterate(surface, d)[0]))
         assert deepest >= 5
-
-    @pytest.mark.parametrize("cap", range(6))
-    def test_iteration_cap(self, cap):
-        surface = gdp2_surface()
-        d = D([2, 2, 0])  # four steps
-        assert _outcome(_library_iterate, surface, d, cap) == _outcome(
-            reference_iterate, surface, d, cap
-        )
-        if cap < 4:
-            with pytest.raises(NonAbutmentError):
-                iterate_to_nef(surface, d, max_iterations=cap)
 
 
 class TestMoriGeneratorsBeyondCurves:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import box_classes, sampled_box_classes
 from surfcoh import toric as toric_module
+from surfcoh import transform
 from surfcoh import (
     ORACLE_NAMES,
     DivisorClass,
@@ -365,12 +368,27 @@ class TestBlowUpSequences:
     def test_certified_h0_equals_the_count(self, toric):
         # Read as a toric surface, Demazure certifies every nef limit. Read as
         # `general`, the same lattice data must certify by Kawamata-Viehweg or
-        # answer unknown; an unknown is never counted as a match.
+        # answer unknown; an unknown is never counted as a match. The kernel's
+        # ample class A meets every ray divisor, and D·A bounds the steps.
         as_toric = fan_surface(toric, Regime.TORIC_CONVEX_FAN)
         as_general = fan_surface(toric, Regime.GENERAL)
+        ample = transform._kernel(as_toric).ample_dual
+        assert all(sum(map(mul, ample, c.coefficients)) >= 1 for c in ray_classes(toric))
         count = min(200, 9**toric.rank)
         for d in sampled_box_classes(toric.rank, count, f"blow-ups:{toric.rays}", -4, 4):
             expected = oracle_h0(toric, d)
-            assert cohomology(as_toric, d).h0 == expected, d
+            result = cohomology(as_toric, d)
+            assert result.h0 == expected, d
+            if result.trace is not None:
+                assert result.trace.step_count <= sum(map(mul, ample, d.coefficients)), d
             h0 = cohomology(as_general, d).h0
             assert h0 is None or h0 == expected, d
+
+    def test_transform_longer_than_a_thousand_steps(self):
+        # Six blow-ups at torus-fixed points; h0 needs 1,093 transform steps.
+        toric = reduce(toric_module._blow_up, (1, 2, 2, 3, 3, 4), toric_module._PLANE)
+        surface = fan_surface(toric, Regime.TORIC_CONVEX_FAN)
+        d = D([883, 832, 457, 203, -7, -288, -25])
+        result = cohomology(surface, d)
+        assert result.trace.step_count == 1093
+        assert result.h0 == oracle_h0(toric, d) == 391_170

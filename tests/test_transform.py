@@ -93,6 +93,22 @@ class TestStep:
             isoparametric_step(make_del_pezzo(1), D([1, -2]))
 
 
+def two_curve_surface(matrix) -> SurfaceModel:
+    """Rank 2 with negative curves e1 and e2, and e1 - e2 effective both ways."""
+    e1, e2 = D([1, 0]), D([0, 1])
+    return SurfaceModel(
+        name="two-curve",
+        rank=2,
+        form=IntersectionForm(matrix),
+        canonical_class=D([0, 0]),
+        chi_structure_sheaf=1,
+        negative_curves=(e1, e2),
+        mori_generators=(e1, e2),
+        effective_generators=(e1, e2, e1 - e2, e2 - e1),
+        regime=Regime.GENERAL,
+    )
+
+
 class TestIterate:
     def test_dp1_one_step(self):
         trace = iterate_to_nef(make_del_pezzo(1), D([2, 1]))
@@ -122,13 +138,23 @@ class TestIterate:
             D([2, 0, 0]),
         ]
 
-    def test_cap_exceeded(self):
-        with pytest.raises(NonAbutmentError):
-            iterate_to_nef(gdp2_surface(), D([2, 2, 0]), max_iterations=2)
+    def test_divergent_transform_stops_at_the_ample_degree(self):
+        # Curves of square -3 meeting in 6 make the strip diverge; A = e1 + e2
+        # meets both in 3, so D·A = 9 bounds the steps of (5, -2).
+        surface = two_curve_surface([[-3, 6], [6, -3]])
+        with pytest.raises(NonAbutmentError) as err:
+            iterate_to_nef(surface, D([5, -2]))
+        assert "D·A = 9 steps" in str(err.value)
 
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
-            iterate_to_nef(gdp2_surface(), D([2, 2, 0]), max_iterations=-3)
+    def test_no_ample_class(self):
+        # e1·e2 = 1 = -e1² makes the two curves opposite: no class meets both
+        # positively, so a needed step raises and a nef class needs none.
+        surface = two_curve_surface([[-1, 1], [1, -1]])
+        with pytest.raises(ConsistencyError):
+            iterate_to_nef(surface, D([6, 1]))
+        trace = iterate_to_nef(surface, D([1, 1]))
+        assert trace.step_count == 0
+        assert trace.limit == D([1, 1])
 
     def test_non_effective_rejected(self):
         with pytest.raises(NotEffectiveError):
