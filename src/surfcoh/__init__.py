@@ -1,9 +1,9 @@
 """Exact line bundle cohomology on smooth projective surfaces.
 
-The library works entirely in the Picard lattice with exact integer and
-rational arithmetic: effective divisor classes are driven into the nef
-cone by repeatedly stripping negatively-met negative curves, and the
-zeroth cohomology is read off as a topological index wherever a vanishing
+The library works entirely in the Picard lattice with exact integer
+arithmetic: effective divisor classes are driven into the nef cone by
+repeatedly stripping negatively-met negative curves, and the zeroth
+cohomology is read off as a topological index wherever a vanishing
 certificate covers the nef limit. A lattice-point counting oracle for the
 shipped toric models provides an independent cross-check.
 """

@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
@@ -73,8 +71,11 @@ class SurfaceSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SurfaceSpec":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SpecValidationError("document", f"spec file is not UTF-8: {exc}") from None
         if not isinstance(data, dict):
             raise SpecValidationError("document", "spec file must hold a JSON object")
         return cls.from_dict(data)
@@ -109,15 +110,14 @@ def _int_matrix(value, field: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_vector(row, field) for row in value)
 
 
-def load_surface(spec: SurfaceSpec, strict: bool = False) -> SurfaceModel:
+def load_surface(spec: SurfaceSpec) -> SurfaceModel:
     """Validate a SurfaceSpec and build the corresponding SurfaceModel.
 
     The model checks symmetry of the pairing, lengths of all vectors and
     negativity of every listed curve; this adds evenness of d.(d - K) on
     the lattice basis, which forces it on the whole lattice and so on every
-    listed vector. With ``strict`` the pairing must additionally be
-    unimodular-signature (1, rank - 1), the Hodge index constraint,
-    verified by exact congruent diagonalization.
+    listed vector, and the Hodge index theorem: the pairing must have
+    signature (1, rank - 1).
     """
     try:
         regime = Regime(spec.regime)
@@ -145,26 +145,28 @@ def load_surface(spec: SurfaceSpec, strict: bool = False) -> SurfaceModel:
                 "canonical_class",
                 f"d.(d - K) is odd on basis vector {i}; lattice data is inconsistent",
             )
-    if strict:
-        pos, neg, null = signature(spec.intersection_matrix)
-        if (pos, neg, null) != (1, rank - 1, 0):
-            raise SpecValidationError(
-                "intersection_matrix",
-                f"signature ({pos}, {neg}) with {null} null directions; "
-                f"a surface lattice must have signature (1, {rank - 1})",
-            )
+    pos, neg, null = signature(form.matrix)
+    if (pos, neg, null) != (1, rank - 1, 0):
+        raise SpecValidationError(
+            "intersection_matrix",
+            f"signature ({pos}, {neg}) with {null} null directions; "
+            f"a surface lattice must have signature (1, {rank - 1})",
+        )
     return surface
 
 
 def signature(matrix: Iterable[Iterable[int]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric matrix.
+    """(positive, negative, zero) inertia of a symmetric integer matrix.
 
-    Congruent diagonalization over exact rationals; Sylvester's law makes
-    the diagonal signs basis-independent.
+    Congruent diagonalization in exact integers; Sylvester's law makes the
+    diagonal signs basis-independent. Eliminating pivot p replaces the
+    trailing block by p times its Schur complement, which keeps it integral
+    and flips the signs of the later pivots exactly when p < 0.
     """
-    a = [[Fraction(x) for x in row] for row in matrix]
+    a = [list(row) for row in matrix]
     n = len(a)
     pos = neg = null = 0
+    flipped = False
     for i in range(n):
         if a[i][i] == 0:
             swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
@@ -183,17 +185,14 @@ def signature(matrix: Iterable[Iterable[int]]) -> tuple[int, int, int]:
                 for row in a:
                     row[i] += row[partner]
         pivot = a[i][i]
-        for j in range(i + 1, n):
-            if a[j][i] != 0:
-                factor = a[j][i] / pivot
-                for k in range(n):
-                    a[j][k] -= factor * a[i][k]
-                for k in range(n):
-                    a[k][j] -= factor * a[k][i]
-        if pivot > 0:
+        if (pivot > 0) != flipped:
             pos += 1
         else:
             neg += 1
+        for j in range(i + 1, n):
+            for k in range(i + 1, n):
+                a[j][k] = pivot * a[j][k] - a[j][i] * a[i][k]
+        flipped ^= pivot < 0
     return pos, neg, null
 
 
@@ -303,25 +302,27 @@ def hirzebruch_degree(surface: SurfaceModel) -> int | None:
     return n if same else None
 
 
+_DATA_DIR = Path(__file__).parent / "data"
+
+
 def fixture_path(name: str) -> Path:
     """Filesystem path of a shipped surface spec file, e.g. 'gdp2'."""
     filename = name if name.endswith(".json") else f"{name}.json"
-    path = Path(str(resources.files("surfcoh").joinpath("data", filename)))
+    path = _DATA_DIR / filename
     if not path.exists():
         raise UnknownSurfaceError(f"no shipped fixture named {name!r}")
     return path
 
 
 def list_fixtures() -> list[str]:
-    data_dir = Path(str(resources.files("surfcoh").joinpath("data")))
-    return sorted(p.stem for p in data_dir.glob("*.json"))
+    return sorted(p.stem for p in _DATA_DIR.glob("*.json"))
 
 
 _DP_NAME = re.compile(r"^dp([0-8])$")
 _F_NAME = re.compile(r"^f(\d+)$")
 
 
-def catalog_surface(name: str, strict: bool = False) -> SurfaceModel:
+def catalog_surface(name: str) -> SurfaceModel:
     """Resolve a catalog name (dp0..dp8, fN, gdp2) to a SurfaceModel."""
     key = name.strip().lower()
     match = _DP_NAME.match(key)
@@ -331,7 +332,7 @@ def catalog_surface(name: str, strict: bool = False) -> SurfaceModel:
     if match:
         return make_hirzebruch(int(match.group(1)))
     if key == "gdp2":
-        return load_surface(SurfaceSpec.from_file(fixture_path("gdp2")), strict=strict)
+        return load_surface(SurfaceSpec.from_file(fixture_path("gdp2")))
     raise UnknownSurfaceError(
         f"unknown surface {name!r}; valid catalog names are dp0..dp8, "
         f"f0, f1, ... (any fN), and gdp2, or pass a spec-file path"

@@ -41,13 +41,13 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
-def _resolve_surface(arg: str, strict: bool) -> SurfaceModel:
+def _resolve_surface(arg: str) -> SurfaceModel:
     path = Path(arg)
     if path.suffix == ".json" or path.exists():
         if not path.exists():
             raise CliError(f"spec file {arg!r} does not exist")
-        return load_surface(SurfaceSpec.from_file(path), strict=strict)
-    return catalog_surface(arg, strict=strict)
+        return load_surface(SurfaceSpec.from_file(path))
+    return catalog_surface(arg)
 
 
 def _parse_class(text: str, surface: SurfaceModel) -> DivisorClass:
@@ -89,7 +89,7 @@ def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
 
 
 def _cmd_cohomology(args: argparse.Namespace) -> int:
-    surface = _resolve_surface(args.surface, args.strict_validation)
+    surface = _resolve_surface(args.surface)
     d = _parse_class(args.class_vector, surface)
     result = cohomology(surface, d)
     lines = [result.summary_line(), f"detail: {result.certificate.detail}"]
@@ -102,7 +102,7 @@ def _cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    surface = _resolve_surface(args.surface, args.strict_validation)
+    surface = _resolve_surface(args.surface)
     d = _parse_class(args.class_vector, surface)
     trace = iterate_to_nef(surface, d)
     lines = [f"input: {list(trace.input)}"]
@@ -114,7 +114,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    surface = _resolve_surface(args.surface, args.strict_validation)
+    surface = _resolve_surface(args.surface)
     payload = {
         "name": surface.name,
         "rank": surface.rank,
@@ -158,7 +158,7 @@ def _oracle_for(args: argparse.Namespace, surface: SurfaceModel):
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    surface = _resolve_surface(args.surface, args.strict_validation)
+    surface = _resolve_surface(args.surface)
     d = _parse_class(args.class_vector, surface)
     toric = _oracle_for(args, surface)
     pipeline = cohomology(surface, d).h0
@@ -181,7 +181,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    surface = _resolve_surface(args.surface, args.strict_validation)
+    surface = _resolve_surface(args.surface)
     toric = _oracle_for(args, surface)
     lo, hi = _parse_box(args.box)
     total = effective = 0
@@ -248,11 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated integer coefficients in the surface basis",
             )
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--strict-validation",
-            action="store_true",
-            help="additionally require intersection signature (1, rank-1) on loaded spec files",
-        )
 
     p = sub.add_parser("cohomology", help="h0/h1/h2/chi with certificate and trace")
     add_common(p, with_class=True)

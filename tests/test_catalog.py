@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gdp2_surface
@@ -243,7 +244,7 @@ class TestLoadSurface:
             SurfaceSpec.from_dict(data)
 
     def test_strict_accepts_gdp2(self):
-        s = load_surface(SurfaceSpec.from_dict(self.gdp2_dict()), strict=True)
+        s = load_surface(SurfaceSpec.from_dict(self.gdp2_dict()))
         assert s.name == "gdp2"
 
     def test_strict_rejects_wrong_signature(self):
@@ -258,9 +259,29 @@ class TestLoadSurface:
             "effective_generators": [[1, 0, 0]],
             "regime": "general",
         }
-        load_surface(SurfaceSpec.from_dict(data))  # default mode accepts
         with pytest.raises(SpecValidationError) as err:
-            load_surface(SurfaceSpec.from_dict(data), strict=True)
+            load_surface(SurfaceSpec.from_dict(data))
+        assert err.value.field == "intersection_matrix"
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[-1, 0], [0, -1]], [[1, 0], [0, 0]]],
+        ids=["negative", "degenerate"],
+    )
+    def test_non_hodge_signature_rejected(self, matrix):
+        data = {
+            "name": "fake",
+            "rank": 2,
+            "intersection_matrix": matrix,
+            "canonical_class": [1, 1],
+            "chi_structure_sheaf": 1,
+            "negative_curves": [],
+            "mori_generators": [[1, 0]],
+            "effective_generators": [[1, 0]],
+            "regime": "general",
+        }
+        with pytest.raises(SpecValidationError, match="signature") as err:
+            load_surface(SurfaceSpec.from_dict(data))
         assert err.value.field == "intersection_matrix"
 
 
@@ -277,7 +298,7 @@ def surface_fields(surface):
 
 
 def round_trip(surface):
-    """The surface's spec, through JSON and back to a strictly loaded model."""
+    """The surface's spec, through JSON and back to a loaded model."""
     spec = SurfaceSpec(
         name=surface.name,
         rank=surface.rank,
@@ -290,7 +311,7 @@ def round_trip(surface):
         regime=surface.regime.value,
     )
     data = json.loads(json.dumps(spec.to_dict()))
-    return load_surface(SurfaceSpec.from_dict(data), strict=True)
+    return load_surface(SurfaceSpec.from_dict(data))
 
 
 class TestFixtures:
@@ -310,7 +331,7 @@ class TestFixtures:
         assert surface_fields(round_trip(built)) == surface_fields(built)
 
     def test_shipped_f2_matches_constructor(self):
-        loaded = load_surface(SurfaceSpec.from_file(fixture_path("f2")), strict=True)
+        loaded = load_surface(SurfaceSpec.from_file(fixture_path("f2")))
         assert surface_fields(loaded) == surface_fields(make_hirzebruch(2))
 
     def test_unknown_fixture(self):
@@ -331,7 +352,75 @@ class TestCatalogLookup:
         assert "dp0..dp8" in str(err.value)
 
 
+def reference_signature(matrix):
+    """Inertia by congruent diagonalization over ``Fraction``: true Schur complements."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    pos = neg = null = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            swap = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if swap is not None:
+                a[i], a[swap] = a[swap], a[i]
+                for row in a:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                partner = next((k for k in range(i + 1, n) if a[i][k] != 0), None)
+                if partner is None:
+                    null += 1
+                    continue
+                for k in range(n):
+                    a[i][k] += a[partner][k]
+                for row in a:
+                    row[i] += row[partner]
+        pivot = a[i][i]
+        for j in range(i + 1, n):
+            if a[j][i] != 0:
+                factor = a[j][i] / pivot
+                for k in range(n):
+                    a[j][k] -= factor * a[i][k]
+                for k in range(n):
+                    a[k][j] -= factor * a[k][i]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+    return pos, neg, null
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of rank 1-9, with the degenerate shapes that
+    exercise the zero-pivot steps: zero diagonals, repeated and scaled rows."""
+    n = draw(st.integers(1, 9))
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        for i in range(n):
+            a[i][i] = 0
+    index = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(index, index), max_size=3)):
+        # Row and column dst become copies of row and column src.
+        row = list(a[src])
+        row[dst] = a[src][src]
+        for k in range(n):
+            a[dst][k] = a[k][dst] = row[k]
+    for i, c in draw(st.lists(st.tuples(index, st.integers(-3, 3)), max_size=3)):
+        for k in range(n):
+            a[i][k] *= c
+        for k in range(n):
+            a[k][i] *= c
+    return a
+
+
 class TestSignature:
+    @settings(max_examples=300)
+    @given(symmetric_matrices())
+    def test_matches_rational_reference(self, matrix):
+        assert signature(matrix) == reference_signature(matrix)
+
     def test_lorentzian(self):
         assert signature([[1, 0], [0, -1]]) == (1, 1, 0)
 
@@ -340,6 +429,20 @@ class TestSignature:
 
     def test_degenerate(self):
         assert signature([[1, 2, 0], [2, 4, 0], [0, 0, -1]]) == (1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[1, 0], [0, -1]],
+            [[0, 1], [1, 0]],
+            [[1, 2, 0], [2, 4, 0], [0, 0, -1]],
+            [[-2, 1, 0], [1, -2, 1], [0, 1, 3]],
+            [[0, 0, 1], [0, 0, 1], [1, 1, 0]],
+            [[0, 2, 0], [2, 0, 0], [0, 0, 0]],
+        ],
+    )
+    def test_hand_cases_match_reference(self, matrix):
+        assert signature(matrix) == reference_signature(matrix)
 
     @pytest.mark.parametrize("k", range(9))
     def test_del_pezzo_matrices_are_lorentzian(self, k):

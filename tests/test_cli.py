@@ -236,26 +236,52 @@ class TestScanCommand:
         assert "inconsistent" in err
 
 
+def write_form_spec(tmp_path, matrix):
+    """A rank-2 spec file with the given form and otherwise valid data."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({
+        "name": "form",
+        "rank": 2,
+        "intersection_matrix": matrix,
+        "canonical_class": [1, 1],
+        "chi_structure_sheaf": 1,
+        "negative_curves": [],
+        "mori_generators": [[1, 0]],
+        "effective_generators": [[1, 0]],
+        "regime": "general",
+    }))
+    return str(path)
+
+
 class TestStrictValidation:
     def test_strict_rejects_bad_signature_file(self, capsys, tmp_path):
-        spec = {
-            "name": "fake",
-            "rank": 2,
-            "intersection_matrix": [[1, 0], [0, 1]],
-            "canonical_class": [1, 1],
-            "chi_structure_sheaf": 1,
-            "negative_curves": [],
-            "mori_generators": [[1, 0]],
-            "effective_generators": [[1, 0]],
-            "regime": "general",
-        }
-        path = tmp_path / "fake.json"
-        path.write_text(json.dumps(spec))
-        code, _, _ = run_cli(capsys, "catalog", "--surface", str(path))
-        assert code == 0
-        code, _, err = run_cli(capsys, "catalog", "--surface", str(path), "--strict-validation")
+        path = write_form_spec(tmp_path, [[1, 0], [0, 1]])
+        code, out, err = run_cli(capsys, "catalog", "--surface", path)
         assert code == 1
-        assert "signature" in err
+        assert out == ""
+        assert err.startswith("error: intersection_matrix: signature (2, 0)")
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "--surface", path, "--strict-validation"])
+        assert exc.value.code == 2
+        assert "--strict-validation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cohomology", "--class", "1,0"],
+            ["transform", "--class", "1,0"],
+            ["catalog"],
+            ["oracle-check", "--class", "1,0", "--oracle", "f0"],
+            ["scan", "--box", "0..1", "--oracle", "f0"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_every_subcommand_rejects_bad_signature(self, capsys, tmp_path, command):
+        path = write_form_spec(tmp_path, [[-1, 0], [0, -1]])
+        code, out, err = run_cli(capsys, command[0], "--surface", path, *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: intersection_matrix: ")
 
 
 class TestEntryPoint:
@@ -272,3 +298,16 @@ class TestEntryPoint:
         code, _, err = run_cli(capsys, "catalog", "--surface", "missing.json")
         assert code == 1
         assert "does not exist" in err
+
+    def test_non_utf8_spec_file(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_bytes(b"\xff\xfe")
+        proc = subprocess.run(
+            [sys.executable, "-m", "surfcoh", "catalog", "--surface", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: document: ")
+        assert len(proc.stderr.splitlines()) == 1
