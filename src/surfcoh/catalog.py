@@ -10,11 +10,12 @@ of a user-supplied curve list from lattice data alone.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import SpecValidationError, UnknownSurfaceError
 from .lattice import DivisorClass, IntersectionForm, Regime, SurfaceModel
@@ -110,6 +111,16 @@ def _int_matrix(value, field: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_int_vector(row, field) for row in value)
 
 
+def _integer(value, what: str) -> int:
+    """value as an int; bool and non-integral numbers raise TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 def load_surface(spec: SurfaceSpec) -> SurfaceModel:
     """Validate a SurfaceSpec and build the corresponding SurfaceModel.
 
@@ -198,6 +209,7 @@ def signature(matrix: Iterable[Iterable[int]]) -> tuple[int, int, int]:
 
 def make_hirzebruch(n: int) -> SurfaceModel:
     """Hirzebruch surface F_n in the basis (C0, f) with C0^2 = -n."""
+    n = _integer(n, "Hirzebruch degree")
     if n < 0:
         raise ValueError(f"Hirzebruch degree must be non-negative, got {n}")
     c0 = DivisorClass([1, 0])
@@ -216,22 +228,27 @@ def make_hirzebruch(n: int) -> SurfaceModel:
     )
 
 
-@lru_cache(maxsize=None)
+# Both dP caches are typed: an untyped cache keys an int subclass (an IntEnum
+# member, say) by a value that True and 1.0 compare equal to, so they would
+# get its cached result without reaching the index check.
+@lru_cache(maxsize=None, typed=True)
 def enumerate_minus_one_curves(k: int) -> tuple[DivisorClass, ...]:
     """All classes a*H - sum(b_i * E_i) on dP_k with square -1 and K-degree -1.
 
     Exhaustive search over a in [0, 6], b_i in [-1, 3]; the classical
     classification guarantees every (-1)-class lies in this box, and the
-    completeness of the sweep is pinned by the known counts in tests.
+    completeness of the sweep is pinned by the known counts in tests. Both
+    conditions, sum(b) = 3a - 1 and sum(b^2) = a^2 + 1, are symmetric in the
+    b_i, so the search runs over non-increasing b only and then takes every
+    distinct ordering of each hit.
     """
-    if not 0 <= k <= 8:
-        raise ValueError(f"del Pezzo index must be between 0 and 8, got {k}")
+    k = _del_pezzo_index(k)
     found: list[tuple[int, ...]] = []
     for a in range(0, 7):
         target_sum = 3 * a - 1  # from D.K = -1
         target_sq = a * a + 1   # from D.D = -1
 
-        def descend(i: int, acc_sum: int, acc_sq: int, prefix: tuple[int, ...]):
+        def descend(i: int, acc_sum: int, acc_sq: int, prefix: tuple[int, ...], top: int):
             remaining = k - i
             if acc_sq > target_sq:
                 return
@@ -241,20 +258,38 @@ def enumerate_minus_one_curves(k: int) -> tuple[DivisorClass, ...]:
                 return
             if i == k:
                 if acc_sum == target_sum and acc_sq == target_sq:
-                    found.append((a,) + tuple(-b for b in prefix))
+                    found.extend((a,) + tuple(-b for b in order) for order in _orderings(prefix))
                 return
-            for b in range(-1, 4):
-                descend(i + 1, acc_sum + b, acc_sq + b * b, prefix + (b,))
+            for b in range(-1, top + 1):
+                descend(i + 1, acc_sum + b, acc_sq + b * b, prefix + (b,), b)
 
-        descend(0, 0, 0, ())
+        descend(0, 0, 0, (), 3)
     return tuple(DivisorClass(v) for v in sorted(found))
 
 
-@lru_cache(maxsize=None)
-def make_del_pezzo(k: int) -> SurfaceModel:
-    """del Pezzo surface dP_k in the basis (H, E_1, ..., E_k)."""
+def _orderings(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every distinct ordering of values, each once."""
+    if not values:
+        yield ()
+        return
+    for first in set(values):
+        rest = list(values)
+        rest.remove(first)
+        for tail in _orderings(tuple(rest)):
+            yield (first,) + tail
+
+
+def _del_pezzo_index(k) -> int:
+    k = _integer(k, "del Pezzo index")
     if not 0 <= k <= 8:
         raise ValueError(f"del Pezzo index must be between 0 and 8, got {k}")
+    return k
+
+
+@lru_cache(maxsize=None, typed=True)
+def make_del_pezzo(k: int) -> SurfaceModel:
+    """del Pezzo surface dP_k in the basis (H, E_1, ..., E_k)."""
+    k = _del_pezzo_index(k)
     rank = k + 1
     matrix = [[0] * rank for _ in range(rank)]
     matrix[0][0] = 1

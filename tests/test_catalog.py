@@ -96,6 +96,90 @@ class TestMinusOneCurves:
             enumerate_minus_one_curves(9)
 
 
+def reference_minus_one_curves(k):
+    """The full-box sweep: a in [0, 6] and every b in [-1, 3]^k, pruned only
+    by the partial sums, with no use of the symmetry in the b_i."""
+    found = []
+    for a in range(0, 7):
+        target_sum = 3 * a - 1
+        target_sq = a * a + 1
+
+        def descend(i, acc_sum, acc_sq, prefix):
+            remaining = k - i
+            if acc_sq > target_sq:
+                return
+            if acc_sum + 3 * remaining < target_sum or acc_sum - remaining > target_sum:
+                return
+            if acc_sq + 9 * remaining < target_sq:
+                return
+            if i == k:
+                if acc_sum == target_sum and acc_sq == target_sq:
+                    found.append((a,) + tuple(-b for b in prefix))
+                return
+            for b in range(-1, 4):
+                descend(i + 1, acc_sum + b, acc_sq + b * b, prefix + (b,))
+
+        descend(0, 0, 0, ())
+    return tuple(D(v) for v in sorted(found))
+
+
+class TestMinusOneSearch:
+    @pytest.mark.parametrize("k", range(9))
+    def test_matches_full_box_sweep(self, k):
+        assert enumerate_minus_one_curves(k) == reference_minus_one_curves(k)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_closed_under_permuting_exceptional_classes(self, k):
+        # Adjacent transpositions of E_1..E_k generate every permutation.
+        curves = set(enumerate_minus_one_curves(k))
+        for c in curves:
+            a, *b = c.coefficients
+            for i in range(k - 1):
+                swapped = b[:i] + [b[i + 1], b[i]] + b[i + 2 :]
+                assert D([a, *swapped]) in curves
+
+
+class _Int(int):
+    """An int subclass, such as an IntEnum member."""
+
+
+class _Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class TestIntegerIndex:
+    def test_bool_del_pezzo_rejected(self):
+        with pytest.raises(TypeError, match="del Pezzo index"):
+            make_del_pezzo(True)
+
+    def test_float_del_pezzo_rejected_after_cached_integer(self):
+        # An int subclass is cached under a key that True and 1.0 compare
+        # equal to; its surface must not answer them.
+        assert make_del_pezzo(1).name == make_del_pezzo(_Int(1)).name == "dp1"
+        for k in (True, 1.0):
+            with pytest.raises(TypeError, match="del Pezzo index"):
+                make_del_pezzo(k)
+
+    def test_float_enumeration_rejected(self):
+        assert len(enumerate_minus_one_curves(_Int(8))) == 240
+        with pytest.raises(TypeError, match="del Pezzo index"):
+            enumerate_minus_one_curves(8.0)
+
+    def test_bool_hirzebruch_rejected(self):
+        for n in (True, 2.0):
+            with pytest.raises(TypeError, match="Hirzebruch degree"):
+                make_hirzebruch(n)
+
+    def test_index_protocol_accepted(self):
+        assert make_del_pezzo(_Index(3)).name == "dp3"
+        assert enumerate_minus_one_curves(_Index(2)) == enumerate_minus_one_curves(2)
+        assert make_hirzebruch(_Index(2)).name == "f2"
+
+
 class TestDelPezzo:
     def test_dp1_curves_and_mori(self):
         dp1 = make_del_pezzo(1)
