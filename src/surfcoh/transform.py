@@ -80,6 +80,53 @@ class TransformTrace:
         return lines
 
 
+# Each packed vector owns one 64-bit field of an arbitrary-precision integer.
+_FIELD_BITS = 64
+_HALF = 1 << (_FIELD_BITS - 1)
+_FIELD_BYTES = _FIELD_BITS // 8
+
+
+class _Packed:
+    """Vectors v_0 .. v_{n-1} of one rank, packed for a simultaneous scan.
+
+    ``columns[j]`` is sum_i v_i[j]·2^(64 i), so for a class D the integer
+    ``bias + sum_j D[j]·columns[j]`` is sum_i (D·v_i + 2^63)·2^(64 i), with
+    ``bias`` = sum_i 2^63·2^(64 i). While every |D·v_i| < 2^63 those terms
+    are exactly its 64-bit fields, and field i has its top bit clear exactly
+    when D·v_i < 0. That holds whenever max|D[j]| < ``limit`` =
+    ceil(2^63 / max_i ||v_i||_1), or 2^63 when every v_i is 0; ``total``
+    returns None beyond it.
+    """
+
+    __slots__ = ("columns", "bias", "limit", "size")
+
+    columns: tuple[int, ...]
+    bias: int
+    limit: int
+    size: int
+
+    def __init__(self, vectors: tuple[tuple[int, ...], ...], rank: int):
+        self.columns = tuple(
+            sum(v[j] << (_FIELD_BITS * i) for i, v in enumerate(vectors)) for j in range(rank)
+        )
+        self.size = len(vectors) * _FIELD_BYTES
+        self.bias = int.from_bytes(_HALF.to_bytes(_FIELD_BYTES, "little") * len(vectors), "little")
+        norm = max([sum(map(abs, v)) for v in vectors], default=0) or 1
+        self.limit = -(-_HALF // norm)
+
+    def total(self, coeffs: tuple[int, ...]) -> int | None:
+        """bias + sum_j coeffs[j]·columns[j], or None past the exactness limit."""
+        limit = self.limit
+        if max(coeffs) >= limit or -min(coeffs) >= limit:
+            return None
+        return sum(map(mul, coeffs, self.columns), self.bias)
+
+
+def _packed(vectors: tuple[tuple[int, ...], ...], rank: int) -> _Packed | None:
+    # Up to rank vectors the per-vector loop is as fast as packing or faster.
+    return _Packed(vectors, rank) if len(vectors) > rank else None
+
+
 class _Kernel:
     """One surface's intersection data as integer tuples.
 
@@ -89,16 +136,35 @@ class _Kernel:
     Mori generators that are not negative curves: once no negative curve
     meets D negatively, only these can still show that D is not nef.
 
+    ``packed_curves`` and ``packed_mori`` hold the M·C and the M·g packed
+    one 64-bit field per vector, field i at bits [64 i, 64 i + 64) of one
+    integer per coordinate (see ``_Packed``), so that one integer product
+    gives every D·C + 2^63 at once. The fields are exact while
+    max|D[j]| < 2^63 / max ||M·C||_1; a class at or past that limit is
+    scanned vector by vector, and so is every class on a surface with no
+    more vectors than its rank (F_n, dP1, dP2, gdp2), which keeps None
+    there.
+
     ``ample_dual`` is M·A for an integral class A with A·x >= 1 on every
     Mori generator and negative curve x, so ample by Kleiman's criterion,
     or None when these lie in no open half-space.
     """
 
-    __slots__ = ("curves", "mori_duals", "other_mori_duals", "cone", "ample_dual")
+    __slots__ = (
+        "curves",
+        "mori_duals",
+        "other_mori_duals",
+        "packed_curves",
+        "packed_mori",
+        "cone",
+        "ample_dual",
+    )
 
     curves: tuple[tuple[DivisorClass, tuple[int, ...], int], ...]
     mori_duals: tuple[tuple[int, ...], ...]
     other_mori_duals: tuple[tuple[int, ...], ...]
+    packed_curves: _Packed | None
+    packed_mori: _Packed | None
     cone: Cone
     ample_dual: tuple[int, ...] | None
 
@@ -121,6 +187,13 @@ class _Kernel:
             duals[g.coefficients]
             for g in surface.mori_generators
             if g.coefficients not in listed
+        )
+        curve_duals = tuple(dual for _, dual, _ in self.curves)
+        self.packed_curves = _packed(curve_duals, surface.rank)
+        self.packed_mori = (
+            self.packed_curves
+            if self.mori_duals == curve_duals
+            else _packed(self.mori_duals, surface.rank)
         )
         self.cone = Cone(surface.effective_generators)
         # A separator w of (0, ..., 0, -1) from the duals extended by -1 has
@@ -151,10 +224,22 @@ def _kernel(surface: SurfaceModel) -> _Kernel:
 
 
 def is_nef(surface: SurfaceModel, d: DivisorClass) -> bool:
-    """Non-negative against every Mori generator."""
+    """Non-negative against every Mori generator.
+
+    With the Mori duals packed (more generators than coordinates) and
+    max|d_j| < 2^63 / max ||M·g||_1, this is one mask test: every 64-bit
+    field D·g + 2^63 of the packed total has its top bit set. Otherwise
+    each generator is paired with d in turn.
+    """
     _require_rank(surface, d)
+    kernel = _kernel(surface)
     coeffs = d.coefficients
-    return all(sum(map(mul, g, coeffs)) >= 0 for g in _kernel(surface).mori_duals)
+    packed = kernel.packed_mori
+    if packed is not None:
+        total = packed.total(coeffs)
+        if total is not None:
+            return total & packed.bias == packed.bias
+    return all(sum(map(mul, g, coeffs)) >= 0 for g in kernel.mori_duals)
 
 
 def is_effective(surface: SurfaceModel, d: DivisorClass) -> bool:
@@ -164,7 +249,35 @@ def is_effective(surface: SurfaceModel, d: DivisorClass) -> bool:
 
 
 def _fixed_part(kernel: _Kernel, coeffs: tuple[int, ...]) -> list[tuple[DivisorClass, int]]:
-    """The negative curves meeting coeffs negatively, with their multiplicities."""
+    """The negative curves meeting coeffs negatively, with their multiplicities.
+
+    With the curve duals packed (more curves than coordinates) and
+    max|coeffs[j]| < 2^63 / max ||M·C||_1, one packed total holds every
+    D·C + 2^63, field i in bits [64 i, 64 i + 64), and only the fields with
+    their top bit clear (D·C < 0) are read, in curve order. Otherwise each
+    curve is paired with coeffs in turn. Both give the same list.
+    """
+    packed = kernel.packed_curves
+    if packed is not None:
+        total = packed.total(coeffs)
+        if total is not None:
+            negative = (total & packed.bias) ^ packed.bias
+            if not negative:
+                return []
+            # Little-endian bytes: field i is bytes [8i, 8i + 8), and its
+            # flag is the top byte 0x80 at 8i + 7 of ``negative``.
+            fields = total.to_bytes(packed.size, "little")
+            flags = negative.to_bytes(packed.size, "little")
+            curves = kernel.curves
+            terms = []
+            top = flags.find(0x80)
+            while top >= 0:
+                start = top + 1 - _FIELD_BYTES
+                curve, _, minus_square = curves[start // _FIELD_BYTES]
+                product = int.from_bytes(fields[start : top + 1], "little") - _HALF
+                terms.append((curve, -(product // minus_square)))
+                top = flags.find(0x80, top + 1)
+            return terms
     terms = []
     for curve, curve_dual, minus_square in kernel.curves:
         product = sum(map(mul, curve_dual, coeffs))

@@ -4,6 +4,11 @@ The reference functions below are the transform as it was written before
 the kernel: every intersection through ``intersect``, effectiveness through
 a cone built on the spot, the final nef test against every Mori generator.
 The library must give the same answers and the same traces on every input.
+
+On surfaces with more negative curves than coordinates the kernel scans
+packed 64-bit fields up to a coefficient limit and vector by vector past
+it; ``TestPackedScan`` checks the two scans against each other at and
+around that limit.
 """
 
 from __future__ import annotations
@@ -11,10 +16,21 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import operator
+
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import gdp2_surface, sampled_box_classes, sampled_effective_classes
+from conftest import (
+    SAMPLED_DEL_PEZZO,
+    del_pezzo_acceptance_sample,
+    gdp2_surface,
+    sampled_box_classes,
+    sampled_effective_classes,
+)
 from surfcoh import (
     Cone,
     ConsistencyError,
@@ -96,12 +112,17 @@ def _library_iterate(surface, d):
     return steps, trace.limit
 
 
-def disagreements(surface, d) -> list[str]:
-    """Every answer on which the library and the reference differ for d."""
+def disagreements(surface, d, effective=None) -> list[str]:
+    """Every answer on which the library and the reference differ for d.
+
+    ``effective`` is the reference's effectiveness of d when the caller
+    has already decided it.
+    """
     found = []
     if is_nef(surface, d) != reference_is_nef(surface, d):
         found.append("is_nef")
-    effective = reference_is_effective(surface, d)
+    if effective is None:
+        effective = reference_is_effective(surface, d)
     if is_effective(surface, d) != effective:
         found.append("is_effective")
     elif effective:
@@ -143,6 +164,25 @@ class TestAgainstReference:
 
     def test_sampled_del_pezzo(self):
         bad = [(s.name, d) for s, d in sampled_cases() if disagreements(s, d)]
+        assert bad == []
+
+    @pytest.mark.parametrize("k", sorted(SAMPLED_DEL_PEZZO))
+    def test_acceptance_sample_and_its_multiples(self, k):
+        # The whole acceptance sample, and each class times 10**20: the
+        # first is scanned packed, the second is past the packing limit.
+        # Cone membership is invariant under positive scaling, so the
+        # reference decides it once per class, on one cone.
+        surface = make_del_pezzo(k)
+        assert transform._kernel(surface).packed_curves is not None
+        cone = Cone(surface.effective_generators)
+        mori, box = del_pezzo_acceptance_sample(k)
+        bad = []
+        for d in mori + box:
+            effective = cone_contains(cone, d)
+            for scaled in (d, 10**20 * d):
+                found = disagreements(surface, scaled, effective)
+                if found:
+                    bad.append((scaled, found))
         assert bad == []
 
     def test_deep_gdp2_traces(self):
@@ -195,3 +235,104 @@ class TestKeptOnSurface:
         with pytest.raises(ConsistencyError):
             iterate_to_nef(replaced, D([1, 1]))
         assert iterate_to_nef(used, D([1, 1])).limit == D([0, 1])
+
+
+def _scans(vectors, minus_squares, rank):
+    """Kernel views over the same vectors: (packed, per-vector loop).
+
+    Each view is also a stand-in surface for ``is_nef``, which reads a
+    surface's rank, name and kept kernel only.
+    """
+    curves = tuple(
+        (D(v), v, minus_square) for v, minus_square in zip(vectors, minus_squares)
+    )
+    packed = transform._Packed(vectors, rank)
+    views = []
+    for name, kept in (("packed", packed), ("loop", None)):
+        view = SimpleNamespace(
+            rank=rank, name=name, curves=curves, mori_duals=vectors,
+            packed_curves=kept, packed_mori=kept,
+        )
+        view._kernel = view
+        views.append(view)
+    return tuple(views)
+
+
+def _boundary_class(draw, vectors, rank, limit):
+    """A class at max|d| = limit - 1, limit or ~10**30."""
+    size = draw(st.sampled_from((limit - 1, limit, 10**30 + draw(st.integers(0, 10**6)))))
+    sign = draw(st.sampled_from((1, -1)))
+    longest = max(vectors, key=lambda v: sum(map(abs, v)), default=(0,) * rank)
+    # Signed like the longest vector, the product with it is near ±limit·norm.
+    coeffs = [
+        sign * size * (1 if x > 0 else -1 if x < 0 else draw(st.sampled_from((1, -1, 0))))
+        for x in longest
+    ]
+    for j in draw(st.lists(st.integers(0, rank - 1), max_size=rank)):
+        coeffs[j] = draw(st.integers(-size, size))
+    if not any(abs(x) == size for x in coeffs):
+        coeffs[0] = size
+    return tuple(coeffs)
+
+
+@st.composite
+def _packed_cases(draw):
+    """Vector sets with repeats, and classes small, at and past the limit."""
+    rank = draw(st.integers(1, 10))
+    bound = draw(st.sampled_from((1, 3, 40, 10**6)))
+    vector = st.lists(st.integers(-bound, bound), min_size=rank, max_size=rank).map(tuple)
+    count = draw(st.sampled_from((0, 1, 2, 5, 40, 300)))
+    base = draw(st.lists(vector, min_size=min(count, 1), max_size=max(1, min(count // 2, 30))))
+    vectors = tuple(draw(st.sampled_from(base)) for _ in range(count)) if base else ()
+    minus_squares = [draw(st.integers(1, 4)) for _ in vectors]
+    limit = transform._Packed(vectors, rank).limit
+    small = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank).map(tuple)
+    classes = [draw(small) for _ in range(3)]
+    classes += [_boundary_class(draw, vectors, rank, limit) for _ in range(4)]
+    return vectors, minus_squares, rank, classes
+
+
+class TestPackedScan:
+    @given(_packed_cases())
+    def test_matches_per_vector_loop(self, case):
+        vectors, minus_squares, rank, classes = case
+        packed, loop = _scans(vectors, minus_squares, rank)
+        limit = packed.packed_curves.limit
+        for coeffs in classes:
+            within = max(map(abs, coeffs)) < limit
+            assert (packed.packed_curves.total(coeffs) is not None) == within
+            terms = transform._fixed_part(packed, coeffs)
+            assert terms == transform._fixed_part(loop, coeffs)
+            nef = not any(sum(map(operator.mul, v, coeffs)) < 0 for v in vectors)
+            assert is_nef(packed, D(coeffs)) == is_nef(loop, D(coeffs)) == nef
+
+    def test_fields_at_the_limit_are_exact(self):
+        # |D·v| = (limit - 1)·norm, the largest product the fields must hold.
+        vectors = ((3, -5), (-3, 5), (1, 1), (0, 0))
+        packed, loop = _scans(vectors, (1, 2, 3, 1), 2)
+        limit = packed.packed_curves.limit
+        assert (limit - 1) * 8 < 2**63 <= limit * 8
+        for d in ((limit - 1, -(limit - 1)), (-(limit - 1), limit - 1), (limit, -limit)):
+            fields = transform._fixed_part(packed, d)
+            assert fields == transform._fixed_part(loop, d)
+            assert len(fields) == 1
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_del_pezzo_packs_exactly_when_curves_outnumber_coordinates(self, k):
+        surface = make_del_pezzo(k)
+        kernel = transform._kernel(surface)
+        packed = len(surface.negative_curves) > surface.rank
+        assert (kernel.packed_curves is not None) == packed
+        assert (kernel.packed_mori is not None) == (len(surface.mori_generators) > surface.rank)
+
+    @pytest.mark.parametrize("surface", [make_del_pezzo(0), make_hirzebruch(0)], ids=["dp0", "f0"])
+    @given(data=st.data())
+    def test_surfaces_without_negative_curves(self, surface, data):
+        kernel = transform._kernel(surface)
+        assert kernel.curves == () and kernel.packed_curves is None
+        size = data.draw(st.sampled_from((1, 6, 2**62, 10**30)))
+        coeffs = tuple(
+            data.draw(st.integers(-size, size)) for _ in range(surface.rank)
+        )
+        assert transform._fixed_part(kernel, coeffs) == []
+        assert is_nef(surface, D(coeffs)) == reference_is_nef(surface, D(coeffs))
