@@ -12,7 +12,16 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .cones import Cone, _phase1, cone_contains
+from .cones import (
+    _FIELD_BITS,
+    _FIELD_MASK,
+    _HALF,
+    Cone,
+    _packed,
+    _Packed,
+    _phase1,
+    cone_contains,
+)
 from .errors import ConsistencyError, NonAbutmentError, NotEffectiveError
 from .lattice import DivisorClass, SurfaceModel, _require_rank
 
@@ -80,53 +89,6 @@ class TransformTrace:
         return lines
 
 
-# Each packed vector owns one 64-bit field of an arbitrary-precision integer.
-_FIELD_BITS = 64
-_HALF = 1 << (_FIELD_BITS - 1)
-_FIELD_BYTES = _FIELD_BITS // 8
-
-
-class _Packed:
-    """Vectors v_0 .. v_{n-1} of one rank, packed for a simultaneous scan.
-
-    ``columns[j]`` is sum_i v_i[j]·2^(64 i), so for a class D the integer
-    ``bias + sum_j D[j]·columns[j]`` is sum_i (D·v_i + 2^63)·2^(64 i), with
-    ``bias`` = sum_i 2^63·2^(64 i). While every |D·v_i| < 2^63 those terms
-    are exactly its 64-bit fields, and field i has its top bit clear exactly
-    when D·v_i < 0. That holds whenever max|D[j]| < ``limit`` =
-    ceil(2^63 / max_i ||v_i||_1), or 2^63 when every v_i is 0; ``total``
-    returns None beyond it.
-    """
-
-    __slots__ = ("columns", "bias", "limit", "size")
-
-    columns: tuple[int, ...]
-    bias: int
-    limit: int
-    size: int
-
-    def __init__(self, vectors: tuple[tuple[int, ...], ...], rank: int):
-        self.columns = tuple(
-            sum(v[j] << (_FIELD_BITS * i) for i, v in enumerate(vectors)) for j in range(rank)
-        )
-        self.size = len(vectors) * _FIELD_BYTES
-        self.bias = int.from_bytes(_HALF.to_bytes(_FIELD_BYTES, "little") * len(vectors), "little")
-        norm = max([sum(map(abs, v)) for v in vectors], default=0) or 1
-        self.limit = -(-_HALF // norm)
-
-    def total(self, coeffs: tuple[int, ...]) -> int | None:
-        """bias + sum_j coeffs[j]·columns[j], or None past the exactness limit."""
-        limit = self.limit
-        if max(coeffs) >= limit or -min(coeffs) >= limit:
-            return None
-        return sum(map(mul, coeffs, self.columns), self.bias)
-
-
-def _packed(vectors: tuple[tuple[int, ...], ...], rank: int) -> _Packed | None:
-    # Up to rank vectors the per-vector loop is as fast as packing or faster.
-    return _Packed(vectors, rank) if len(vectors) > rank else None
-
-
 class _Kernel:
     """One surface's intersection data as integer tuples.
 
@@ -138,8 +100,8 @@ class _Kernel:
 
     ``packed_curves`` and ``packed_mori`` hold the M·C and the M·g packed
     one 64-bit field per vector, field i at bits [64 i, 64 i + 64) of one
-    integer per coordinate (see ``_Packed``), so that one integer product
-    gives every D·C + 2^63 at once. The fields are exact while
+    integer per coordinate (see ``cones._Packed``), so that one integer
+    product gives every D·C + 2^63 at once. The fields are exact while
     max|D[j]| < 2^63 / max ||M·C||_1; a class at or past that limit is
     scanned vector by vector, and so is every class on a surface with no
     more vectors than its rank (F_n, dP1, dP2, gdp2), which keeps None
@@ -147,7 +109,9 @@ class _Kernel:
 
     ``ample_dual`` is M·A for an integral class A with A·x >= 1 on every
     Mori generator and negative curve x, so ample by Kleiman's criterion,
-    or None when these lie in no open half-space.
+    or None when these lie in no open half-space. It comes from one phase-1
+    run, which prices its generators packed when they outnumber its
+    coordinates.
     """
 
     __slots__ = (
@@ -198,7 +162,10 @@ class _Kernel:
         self.cone = Cone(surface.effective_generators)
         # A separator w of (0, ..., 0, -1) from the duals extended by -1 has
         # w[:-1]·(M·x) >= w[-1] >= 1 for every x.
-        w, _ = _phase1(tuple(x + (-1,) for x in duals.values()), (0,) * surface.rank + (-1,))
+        extended = tuple(x + (-1,) for x in duals.values())
+        w, _ = _phase1(
+            extended, (0,) * surface.rank + (-1,), _packed(extended, surface.rank + 1)
+        )
         self.ample_dual = None
         if w is not None:
             divisor = gcd(*w[:-1]) or 1
@@ -254,29 +221,25 @@ def _fixed_part(kernel: _Kernel, coeffs: tuple[int, ...]) -> list[tuple[DivisorC
     With the curve duals packed (more curves than coordinates) and
     max|coeffs[j]| < 2^63 / max ||M·C||_1, one packed total holds every
     D·C + 2^63, field i in bits [64 i, 64 i + 64), and only the fields with
-    their top bit clear (D·C < 0) are read, in curve order. Otherwise each
-    curve is paired with coeffs in turn. Both give the same list.
+    their top bit clear (D·C < 0) are read, by shifts and masks, and listed
+    in curve order. Otherwise each curve is paired with coeffs in turn. Both
+    give the same list.
     """
     packed = kernel.packed_curves
     if packed is not None:
         total = packed.total(coeffs)
         if total is not None:
             negative = (total & packed.bias) ^ packed.bias
-            if not negative:
-                return []
-            # Little-endian bytes: field i is bytes [8i, 8i + 8), and its
-            # flag is the top byte 0x80 at 8i + 7 of ``negative``.
-            fields = total.to_bytes(packed.size, "little")
-            flags = negative.to_bytes(packed.size, "little")
             curves = kernel.curves
             terms = []
-            top = flags.find(0x80)
-            while top >= 0:
-                start = top + 1 - _FIELD_BYTES
-                curve, _, minus_square = curves[start // _FIELD_BYTES]
-                product = int.from_bytes(fields[start : top + 1], "little") - _HALF
+            # From the highest flag down: its bit is 64 i + 63 for field i.
+            while negative:
+                start = negative.bit_length() - _FIELD_BITS
+                curve, _, minus_square = curves[start // _FIELD_BITS]
+                product = ((total >> start) & _FIELD_MASK) - _HALF
                 terms.append((curve, -(product // minus_square)))
-                top = flags.find(0x80, top + 1)
+                negative ^= _HALF << start
+            terms.reverse()
             return terms
     terms = []
     for curve, curve_dual, minus_square in kernel.curves:

@@ -1,4 +1,4 @@
-"""The integer-pivoting simplex behind cone membership, against a rational reference.
+"""The integer-pivoting simplex behind cone membership, against two references.
 
 ``reference_decision`` is the same phase-1 simplex written over
 ``Fraction``: the same pivot rules (Dantzig, then Bland once the objective
@@ -6,20 +6,36 @@ stalls; ratio ties to the lower basis index), but every entry an exact
 rational. The library's fraction-free simplex must reach the same decision
 on every input, and every certificate it hands out (a separating vector
 for a non-member, a member witness for a member) must be exact.
+
+``dense_phase1`` is the same fraction-free simplex over the whole dense
+tableau, which rewrites every generator column on every pivot. The
+library's revised simplex must return exactly its separator and witness,
+which pins the pivot sequence, with the generators priced packed or one by
+one.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import gdp2_surface, sampled_box_classes, sampled_effective_classes
-from surfcoh import Cone, DivisorClass, make_del_pezzo, make_hirzebruch
-from surfcoh import cones
+from surfcoh import (
+    Cone,
+    DivisorClass,
+    SurfaceSpec,
+    fixture_path,
+    list_fixtures,
+    load_surface,
+    make_del_pezzo,
+    make_hirzebruch,
+)
+from surfcoh import cones, transform
 
 
 def simplex(generators, target) -> bool:
@@ -128,6 +144,101 @@ def reference_decision(
                     stalled = 0
 
     return pivot_until_optimal(tableau, cost, basis, False)
+
+
+def dense_phase1(generators, target, stall_factor=2, trace=None):
+    """(separator, witness) of the phase-1 simplex over the dense tableau.
+
+    The tableau holds every generator column, the artificial columns and the
+    right-hand side, all times the basis determinant ``det``, and a pivot
+    rewrites all of it by Bareiss's exact division. When ``trace`` is a
+    list, each pricing appends (w, Bland's rule on), w the dual vector that
+    the revised simplex prices the generators with: w.g is generator g's
+    reduced cost times det.
+    """
+    n = len(target)
+    m = len(generators)
+    if m == 0:
+        return None if all(t == 0 for t in target) else tuple([-t for t in target]), None
+
+    ncols = m + n
+    tableau = []
+    signs = []
+    for j in range(n):
+        sign = -1 if target[j] < 0 else 1
+        signs.append(sign)
+        row = [sign * g[j] for g in generators]
+        row.extend(1 if k == j else 0 for k in range(n))
+        row.append(sign * target[j])
+        tableau.append(row)
+    basis = [m + j for j in range(n)]
+    cost = [-sum(column) for column in zip(*tableau)]
+    for q in range(m, ncols):
+        cost[q] += 1
+    det = 1
+
+    use_bland = False
+    stalled = 0
+    stall_limit = stall_factor * (m + n + 5)
+    while True:
+        if trace is not None:
+            w = tuple([sign * (cost[m + j] - det) for j, sign in enumerate(signs)])
+            trace.append((w, use_bland))
+        entering = -1
+        if use_bland:
+            for q in range(ncols):
+                if cost[q] < 0:
+                    entering = q
+                    break
+        else:
+            worst = min(cost[:ncols])
+            if worst < 0:
+                entering = cost.index(worst)
+        if entering < 0:
+            if cost[ncols]:
+                w = tuple([sign * (cost[m + j] - det) for j, sign in enumerate(signs)])
+                return w, None
+            if max(basis) >= m:
+                return None, None
+            rows = tuple(
+                tuple([x * sign for x, sign in zip(row[m:ncols], signs)]) for row in tableau
+            )
+            return None, (rows, tuple(basis), det)
+        leaving = -1
+        best_rhs = best_a = 0
+        for j in range(n):
+            row = tableau[j]
+            a = row[entering]
+            if a > 0:
+                rhs = row[ncols]
+                if leaving >= 0:
+                    lhs, bound = rhs * best_a, best_rhs * a
+                    if lhs > bound or (lhs == bound and basis[j] > basis[leaving]):
+                        continue
+                leaving, best_rhs, best_a = j, rhs, a
+        pivot_row = tableau[leaving]
+        p = best_a
+        for j in range(n):
+            if j == leaving:
+                continue
+            row = tableau[j]
+            f = row[entering]
+            if f:
+                tableau[j] = [(x * p - f * y) // det for x, y in zip(row, pivot_row)]
+            elif p != det:
+                tableau[j] = [x * p // det for x in row]
+        f = cost[entering]
+        previous_objective = cost[ncols]
+        cost = [(x * p - f * y) // det for x, y in zip(cost, pivot_row)]
+        basis[leaving] = entering
+        if not use_bland:
+            if cost[ncols] * det == previous_objective * p:
+                stalled += 1
+                if stalled > stall_limit:
+                    use_bland = True
+            else:
+                stalled = 0
+        det = p
 
 
 def _key(surface) -> tuple[tuple[int, ...], ...]:
@@ -267,9 +378,9 @@ class TestSeparators:
         simplex_runs = []
         inner = cones._phase1
 
-        def counting(generators, target):
+        def counting(generators, target, packed=None):
             simplex_runs.append(target)
-            return inner(generators, target)
+            return inner(generators, target, packed)
 
         monkeypatch.setattr(cones, "_phase1", counting)
         targets = [c for c in itertools.product(range(-4, 5), repeat=surface.rank) if any(c)]
@@ -392,3 +503,139 @@ class TestDegenerateInputs:
         assert not simplex(gens, (0, -1))
         assert simplex(((1, 1), (2, 2)), (3, 3))
         assert not simplex(((1, 1), (2, 2)), (3, 2))
+
+
+DEFAULT_STALL_FACTOR = cones._STALL_FACTOR
+
+
+def _catalog_packings(catalog_cases):
+    """Each catalog generator list mapped to its cone's packing (None on
+    cones with no more generators than coordinates)."""
+    return {key: Cone(key)._packed for key, _, _ in catalog_cases}
+
+
+class TestAgainstDenseTableau:
+    """Exactly the dense tableau's separator and witness, so its pivots."""
+
+    @pytest.mark.parametrize("stall_factor", [DEFAULT_STALL_FACTOR, 0])
+    def test_catalog_cases(self, catalog_cases, stall_factor, monkeypatch):
+        monkeypatch.setattr(cones, "_STALL_FACTOR", stall_factor)
+        packings = _catalog_packings(catalog_cases)
+        packed_runs = packed_bland_runs = 0
+        for key, target, _ in catalog_cases:
+            packed = packings[key]
+            trace = []
+            expected = dense_phase1(key, target, stall_factor, trace)
+            assert cones._phase1(key, target, packed) == expected, (key, target)
+            assert cones._phase1(key, target) == expected, (key, target)
+            if packed is not None:
+                packed_runs += 1
+                packed_bland_runs += trace[-1][1]
+                # Every catalog cone's duals fit its packing, so no run
+                # checks the limit.
+                assert packed.duals_fit
+                assert all(max(map(abs, w)) < packed.limit for w, _ in trace)
+        assert packed_runs > 6000
+        if stall_factor == 0:
+            # Bland's rule takes over while pricing is packed.
+            assert packed_bland_runs > 100
+
+    @pytest.mark.parametrize("stall_factor", [DEFAULT_STALL_FACTOR, 0])
+    @given(case=_generator_sets())
+    # An artificial column ties the cheapest generator here; the generator,
+    # the lower column index, must enter.
+    @example(
+        case=(((2, 0, -3), (-1, -1, 2), (-2, 1, 1), (0, 0, 2), (-3, 1, 6), (1, 0, -1)), (0, 0, 1))
+    )
+    @example(
+        case=(
+            ((-2, -2, 2, -1), (-1, 0, -2, 0), (1, 0, 2, 2), (-2, 2, -2, -1), (0, 1, 0, 0)),
+            (1, 2, 2, 2),
+        )
+    )
+    def test_generator_sets(self, case, stall_factor):
+        generators, target = case
+        packed = cones._Packed(generators, len(target))
+        trace = []
+        expected = dense_phase1(generators, target, stall_factor, trace)
+        original = cones._STALL_FACTOR
+        cones._STALL_FACTOR = stall_factor
+        try:
+            assert cones._phase1(generators, target, packed) == expected
+            assert cones._phase1(generators, target) == expected
+        finally:
+            cones._STALL_FACTOR = original
+        if packed.duals_fit:
+            assert all(max(map(abs, w)) < packed.limit for w, _ in trace)
+
+    def test_ample_class_lps(self, monkeypatch):
+        # The LP each kernel solves for its ample class, on every catalog
+        # surface and shipped spec file.
+        surfaces = [make_del_pezzo(k) for k in range(9)]
+        surfaces += [make_hirzebruch(n) for n in range(9)]
+        surfaces += [
+            load_surface(SurfaceSpec.from_file(fixture_path(name))) for name in list_fixtures()
+        ]
+        problems = []
+        inner = transform._phase1
+
+        def recording(generators, target, packed=None):
+            problems.append((generators, target, packed))
+            return inner(generators, target, packed)
+
+        monkeypatch.setattr(transform, "_phase1", recording)
+        for surface in surfaces:
+            transform._Kernel(surface)
+        monkeypatch.undo()
+        assert len(problems) == len(surfaces)
+        for generators, target, packed in problems:
+            expected = dense_phase1(generators, target)
+            assert expected[0] is not None
+            assert cones._phase1(generators, target, packed) == expected
+            assert cones._phase1(generators, target) == expected
+            assert (packed is not None) == (len(generators) > len(target))
+
+    def test_pricing_falls_back_past_the_packing_limit(self):
+        # Entries near 2**60 leave a packing limit of a few units. The first
+        # dual, -sign(target), is within it; later duals (minors of the
+        # basis) are not, and those pricings take one dot product per
+        # generator.
+        rng = random.Random("packing-limit")
+        big = 2**60
+        entries = (big, big - 1, big + 1, -big, 2, 1, 0, -1)
+        mid_run = 0
+        for _ in range(600):
+            rank = rng.choice((2, 3))
+            count = rng.randint(rank + 1, rank + 3)
+            generators = tuple(
+                tuple(rng.choice(entries) for _ in range(rank)) for _ in range(count)
+            )
+            if not all(any(g) for g in generators) or all(
+                abs(x) < big - 1 for g in generators for x in g
+            ):
+                continue
+            target = tuple(rng.choice((big, -big, 2, 1, 0, -1)) for _ in range(rank))
+            packed = cones._Packed(generators, rank)
+            assert not packed.duals_fit
+            trace = []
+            expected = dense_phase1(generators, target, trace=trace)
+            assert cones._phase1(generators, target, packed) == expected, (generators, target)
+            within = [max(map(abs, w)) < packed.limit for w, _ in trace]
+            mid_run += within[0] and not all(within)
+        assert mid_run > 20
+
+
+class TestPacked:
+    def test_columns_are_the_shifted_sums(self):
+        # Values that fit a signed 64-bit field are written as fields, and
+        # larger ones summed shift by shift; both give the same integers.
+        rng = random.Random("packed-columns")
+        for bound in (1, 2**31, 2**63 - 1, 2**63, 10**30):
+            vectors = [tuple(rng.randint(-bound, bound) for _ in range(3)) for _ in range(7)]
+            vectors.append((-(2**63), 2**63 - 1, 0))
+            vectors = tuple(vectors)
+            packed = cones._Packed(vectors, 3)
+            assert packed.columns == tuple(
+                sum(v[j] << (64 * i) for i, v in enumerate(vectors)) for j in range(3)
+            )
+        assert cones._Packed((), 2).columns == (0, 0)

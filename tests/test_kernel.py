@@ -50,7 +50,7 @@ from surfcoh import (
     make_del_pezzo,
     make_hirzebruch,
 )
-from surfcoh import transform
+from surfcoh import cones, transform
 
 D = DivisorClass
 
@@ -246,7 +246,7 @@ def _scans(vectors, minus_squares, rank):
     curves = tuple(
         (D(v), v, minus_square) for v, minus_square in zip(vectors, minus_squares)
     )
-    packed = transform._Packed(vectors, rank)
+    packed = cones._Packed(vectors, rank)
     views = []
     for name, kept in (("packed", packed), ("loop", None)):
         view = SimpleNamespace(
@@ -285,7 +285,7 @@ def _packed_cases(draw):
     base = draw(st.lists(vector, min_size=min(count, 1), max_size=max(1, min(count // 2, 30))))
     vectors = tuple(draw(st.sampled_from(base)) for _ in range(count)) if base else ()
     minus_squares = [draw(st.integers(1, 4)) for _ in vectors]
-    limit = transform._Packed(vectors, rank).limit
+    limit = cones._Packed(vectors, rank).limit
     small = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank).map(tuple)
     classes = [draw(small) for _ in range(3)]
     classes += [_boundary_class(draw, vectors, rank, limit) for _ in range(4)]
