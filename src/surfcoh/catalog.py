@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .errors import SpecValidationError, UnknownSurfaceError
-from .lattice import DivisorClass, IntersectionForm, Regime, SurfaceModel
+from .lattice import DivisorClass, IntersectionForm, Regime, SurfaceModel, _Frozen
 
 _SPEC_FIELDS = (
     "name",
@@ -36,9 +35,10 @@ _SPEC_FIELDS = (
 MINUS_ONE_CURVE_COUNTS = (0, 1, 3, 6, 10, 16, 27, 56, 240)
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(_Frozen):
     """Serializable description of a surface, mirroring the JSON schema."""
+
+    __match_args__ = _SPEC_FIELDS
 
     name: str
     rank: int
@@ -49,6 +49,28 @@ class SurfaceSpec:
     mori_generators: tuple[tuple[int, ...], ...]
     effective_generators: tuple[tuple[int, ...], ...]
     regime: str
+
+    def __init__(
+        self,
+        name: str,
+        rank: int,
+        intersection_matrix: tuple[tuple[int, ...], ...],
+        canonical_class: tuple[int, ...],
+        chi_structure_sheaf: int,
+        negative_curves: tuple[tuple[int, ...], ...],
+        mori_generators: tuple[tuple[int, ...], ...],
+        effective_generators: tuple[tuple[int, ...], ...],
+        regime: str,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "intersection_matrix", intersection_matrix)
+        object.__setattr__(self, "canonical_class", canonical_class)
+        object.__setattr__(self, "chi_structure_sheaf", chi_structure_sheaf)
+        object.__setattr__(self, "negative_curves", negative_curves)
+        object.__setattr__(self, "mori_generators", mori_generators)
+        object.__setattr__(self, "effective_generators", effective_generators)
+        object.__setattr__(self, "regime", regime)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SurfaceSpec":

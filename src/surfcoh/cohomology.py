@@ -9,7 +9,6 @@ reported unknown rather than silently assigned the index value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import catalog
@@ -18,6 +17,7 @@ from .lattice import (
     DivisorClass,
     Regime,
     SurfaceModel,
+    _Frozen,
     euler_characteristic,
     intersect,
     serre_dual,
@@ -31,12 +31,17 @@ class CertificateRule(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class VanishingCertificate:
+class VanishingCertificate(_Frozen):
     """How the vanishing of higher cohomology was (or was not) justified."""
+
+    __match_args__ = ("rule", "detail")
 
     rule: CertificateRule
     detail: str
+
+    def __init__(self, rule: CertificateRule, detail: str):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def certified(self) -> bool:
@@ -50,8 +55,7 @@ class VanishingCertificate:
         return {"status": self.status, "rule": self.rule.value, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class CohomologyResult:
+class CohomologyResult(_Frozen):
     """h0, h1, h2 and chi for one divisor class.
 
     Fields are None when the pipeline could not certify the value; chi is
@@ -59,12 +63,30 @@ class CohomologyResult:
     class when it was effective.
     """
 
+    __match_args__ = ("h0", "h1", "h2", "chi", "certificate", "trace")
+
     h0: int | None
     h1: int | None
     h2: int | None
     chi: int
     certificate: VanishingCertificate
-    trace: TransformTrace | None = None
+    trace: TransformTrace | None
+
+    def __init__(
+        self,
+        h0: int | None,
+        h1: int | None,
+        h2: int | None,
+        chi: int,
+        certificate: VanishingCertificate,
+        trace: TransformTrace | None = None,
+    ):
+        object.__setattr__(self, "h0", h0)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h2", h2)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "trace", trace)
 
     def to_json(self) -> dict:
         return {

@@ -27,9 +27,9 @@ still basic; that run yields no witness.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from functools import lru_cache
 from operator import mul
-from typing import Iterable
 
 from .errors import RankMismatchError
 from .lattice import DivisorClass
@@ -173,6 +173,9 @@ class Cone:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Cone is immutable")
+
+    def __reduce__(self):
+        return (Cone, (self.generators,))
 
     @property
     def ambient_rank(self) -> int | None:

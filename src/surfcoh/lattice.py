@@ -9,9 +9,8 @@ function, and all arithmetic is arbitrary-precision integer.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from enum import Enum
-from typing import Iterable, Iterator
 
 from .errors import IntegralityError, RankMismatchError, SpecValidationError
 
@@ -49,6 +48,9 @@ class DivisorClass:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("DivisorClass is immutable")
+
+    def __reduce__(self):
+        return (DivisorClass, (self.coefficients,))
 
     @classmethod
     def zero(cls, rank: int) -> "DivisorClass":
@@ -110,6 +112,41 @@ class DivisorClass:
         return str(list(self.coefficients))
 
 
+class _Frozen:
+    """Base of the immutable records: equality, hash and repr over the fields.
+
+    A record names its fields, in order, in ``__match_args__`` and sets each
+    once in ``__init__`` through ``object.__setattr__``. Instances keep a
+    ``__dict__``, so a record can hold private per-instance caches that
+    equality, hashing and repr ignore.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields())
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class IntersectionForm:
     """Symmetric integer pairing matrix on the Picard lattice."""
 
@@ -133,6 +170,9 @@ class IntersectionForm:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntersectionForm is immutable")
+
+    def __reduce__(self):
+        return (IntersectionForm, (self.matrix,))
 
     @property
     def rank(self) -> int:
@@ -169,8 +209,7 @@ class IntersectionForm:
         return f"IntersectionForm({[list(r) for r in self.matrix]})"
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(_Frozen):
     """Picard-lattice description of a smooth projective surface.
 
     ``negative_curves`` lists the classes of irreducible curves with
@@ -181,6 +220,19 @@ class SurfaceModel:
     input.
     """
 
+    __match_args__ = (
+        "name",
+        "rank",
+        "form",
+        "canonical_class",
+        "chi_structure_sheaf",
+        "negative_curves",
+        "mori_generators",
+        "effective_generators",
+        "regime",
+        "basis_labels",
+    )
+
     name: str
     rank: int
     form: IntersectionForm
@@ -190,60 +242,80 @@ class SurfaceModel:
     mori_generators: tuple[DivisorClass, ...]
     effective_generators: tuple[DivisorClass, ...]
     regime: Regime
-    basis_labels: tuple[str, ...] = ()
+    basis_labels: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "rank", operator.index(self.rank))
-        object.__setattr__(self, "chi_structure_sheaf", operator.index(self.chi_structure_sheaf))
-        object.__setattr__(self, "negative_curves", tuple(self.negative_curves))
-        object.__setattr__(self, "mori_generators", tuple(self.mori_generators))
-        object.__setattr__(self, "effective_generators", tuple(self.effective_generators))
-        if self.rank <= 0:
+    def __init__(
+        self,
+        name: str,
+        rank: int,
+        form: IntersectionForm,
+        canonical_class: DivisorClass,
+        chi_structure_sheaf: int,
+        negative_curves: Iterable[DivisorClass],
+        mori_generators: Iterable[DivisorClass],
+        effective_generators: Iterable[DivisorClass],
+        regime: Regime,
+        basis_labels: tuple[str, ...] = (),
+    ):
+        rank = operator.index(rank)
+        chi_structure_sheaf = operator.index(chi_structure_sheaf)
+        negative_curves = tuple(negative_curves)
+        mori_generators = tuple(mori_generators)
+        effective_generators = tuple(effective_generators)
+        if rank <= 0:
             raise SpecValidationError("rank", "rank must be a positive integer")
-        if self.form.rank != self.rank:
+        if form.rank != rank:
             raise SpecValidationError(
                 "intersection_matrix",
-                f"matrix is {self.form.rank}x{self.form.rank} but rank is {self.rank}",
+                f"matrix is {form.rank}x{form.rank} but rank is {rank}",
             )
-        if len(self.canonical_class) != self.rank:
+        if len(canonical_class) != rank:
             raise SpecValidationError(
                 "canonical_class",
-                f"length {len(self.canonical_class)} does not match rank {self.rank}",
+                f"length {len(canonical_class)} does not match rank {rank}",
             )
         for field_name, vectors in (
-            ("negative_curves", self.negative_curves),
-            ("mori_generators", self.mori_generators),
-            ("effective_generators", self.effective_generators),
+            ("negative_curves", negative_curves),
+            ("mori_generators", mori_generators),
+            ("effective_generators", effective_generators),
         ):
             for v in vectors:
-                if len(v) != self.rank:
+                if len(v) != rank:
                     raise SpecValidationError(
                         field_name,
-                        f"vector {v} has length {len(v)}, expected {self.rank}",
+                        f"vector {v} has length {len(v)}, expected {rank}",
                     )
-        for curve in self.negative_curves:
-            if self.form.pairing(curve, curve) >= 0:
+        for curve in negative_curves:
+            if form.pairing(curve, curve) >= 0:
                 raise SpecValidationError(
                     "negative_curves",
                     f"curve {curve} has self-intersection "
-                    f"{self.form.pairing(curve, curve)} >= 0",
+                    f"{form.pairing(curve, curve)} >= 0",
                 )
         for field_name, vectors in (
-            ("mori_generators", self.mori_generators),
-            ("effective_generators", self.effective_generators),
+            ("mori_generators", mori_generators),
+            ("effective_generators", effective_generators),
         ):
             for v in vectors:
                 if v.is_zero:
                     raise SpecValidationError(field_name, "cone generators must be nonzero")
-        if not self.basis_labels:
-            object.__setattr__(
-                self, "basis_labels", tuple(f"e{i + 1}" for i in range(self.rank))
-            )
-        elif len(self.basis_labels) != self.rank:
+        if not basis_labels:
+            basis_labels = tuple(f"e{i + 1}" for i in range(rank))
+        elif len(basis_labels) != rank:
             raise SpecValidationError(
                 "basis_labels",
-                f"{len(self.basis_labels)} labels for rank {self.rank}",
+                f"{len(basis_labels)} labels for rank {rank}",
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "canonical_class", canonical_class)
+        object.__setattr__(self, "chi_structure_sheaf", chi_structure_sheaf)
+        object.__setattr__(self, "negative_curves", negative_curves)
+        object.__setattr__(self, "mori_generators", mori_generators)
+        object.__setattr__(self, "effective_generators", effective_generators)
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "basis_labels", basis_labels)
 
 
 def _require_rank(surface: SurfaceModel, d: DivisorClass) -> None:

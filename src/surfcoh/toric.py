@@ -11,24 +11,26 @@ is a genuine differential test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from operator import add, mul
 
 from .catalog import catalog_surface, make_del_pezzo
 from .errors import RankMismatchError, UnboundedPolytopeError, UnknownSurfaceError
-from .lattice import DivisorClass, SurfaceModel
+from .lattice import DivisorClass, SurfaceModel, _Frozen
 
 
-@dataclass(frozen=True)
-class HalfplaneSet:
+class HalfplaneSet(_Frozen):
     """Constraints <u, normal> >= -offset, one per (normal, offset) pair."""
+
+    __match_args__ = ("constraints",)
 
     constraints: tuple[tuple[tuple[int, int], int], ...]
 
+    def __init__(self, constraints: tuple[tuple[tuple[int, int], int], ...]):
+        object.__setattr__(self, "constraints", constraints)
 
-@dataclass(frozen=True)
-class ToricSurface:
+
+class ToricSurface(_Frozen):
     """Complete smooth fan paired with a Picard-coordinate dictionary.
 
     ``class_map`` (rank x nrays) sends ray-divisor coefficient vectors to
@@ -37,13 +39,20 @@ class ToricSurface:
     divisors, which translate the polytope without changing its count.
     """
 
+    __match_args__ = ("name", "rays", "class_map", "lift_map")
+
     name: str
     rays: tuple[tuple[int, int], ...]
     class_map: tuple[tuple[int, ...], ...]
     lift_map: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rays = self.rays
+    def __init__(
+        self,
+        name: str,
+        rays: tuple[tuple[int, int], ...],
+        class_map: tuple[tuple[int, ...], ...],
+        lift_map: tuple[tuple[int, ...], ...],
+    ):
         if len(rays) < 3:
             raise ValueError("a complete fan needs at least three rays")
         for v in rays:
@@ -57,15 +66,16 @@ class ToricSurface:
                     f"rays {v}, {w} span a cone of determinant {det}; the fan "
                     f"must be smooth, complete and ordered counterclockwise"
                 )
-        rank = len(self.class_map)
+        rank = len(class_map)
         for k in range(rank):
             for l in range(rank):
-                acc = sum(
-                    self.class_map[k][r] * self.lift_map[r][l]
-                    for r in range(len(rays))
-                )
+                acc = sum(class_map[k][r] * lift_map[r][l] for r in range(len(rays)))
                 if acc != (1 if k == l else 0):
                     raise ValueError("class_map o lift_map is not the identity")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "class_map", class_map)
+        object.__setattr__(self, "lift_map", lift_map)
 
     @property
     def rank(self) -> int:
@@ -132,7 +142,8 @@ def toric_model(name: str) -> tuple[ToricSurface, SurfaceModel]:
             f"no toric model named {name!r}; available: {', '.join(ORACLE_NAMES)}"
         )
     if key in _BLOW_UPS:
-        toric = replace(reduce(_blow_up, _BLOW_UPS[key], _PLANE), name=key)
+        blown_up = reduce(_blow_up, _BLOW_UPS[key], _PLANE)
+        toric = ToricSurface(key, blown_up.rays, blown_up.class_map, blown_up.lift_map)
     else:
         toric = _hirzebruch_model(int(key[1]))
     # perfbench/tracer.py patches make_del_pezzo in this module.

@@ -8,7 +8,6 @@ step-by-step history is kept as a TransformTrace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
@@ -23,20 +22,22 @@ from .cones import (
     cone_contains,
 )
 from .errors import ConsistencyError, NonAbutmentError, NotEffectiveError
-from .lattice import DivisorClass, SurfaceModel, _require_rank
+from .lattice import DivisorClass, SurfaceModel, _Frozen, _require_rank
 
 
-@dataclass(frozen=True)
-class FixedPart:
+class FixedPart(_Frozen):
     """Curves removed in one transform step, with their multiplicities."""
+
+    __match_args__ = ("terms",)
 
     terms: tuple[tuple[DivisorClass, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple((c, int(m)) for c, m in self.terms))
-        for curve, multiplicity in self.terms:
+    def __init__(self, terms: tuple[tuple[DivisorClass, int], ...]):
+        terms = tuple((c, int(m)) for c, m in terms)
+        for curve, multiplicity in terms:
             if multiplicity < 1:
                 raise ValueError(f"multiplicity {multiplicity} < 1 for curve {curve}")
+        object.__setattr__(self, "terms", terms)
 
     @property
     def is_empty(self) -> bool:
@@ -49,22 +50,33 @@ class FixedPart:
         ]
 
 
-@dataclass(frozen=True)
-class TransformStep:
+class TransformStep(_Frozen):
+    __match_args__ = ("fixed_part", "result")
+
     fixed_part: FixedPart
     result: DivisorClass
+
+    def __init__(self, fixed_part: FixedPart, result: DivisorClass):
+        object.__setattr__(self, "fixed_part", fixed_part)
+        object.__setattr__(self, "result", result)
 
     def to_json(self) -> dict:
         return {"fixed_part": self.fixed_part.to_json(), "result": list(self.result)}
 
 
-@dataclass(frozen=True)
-class TransformTrace:
+class TransformTrace(_Frozen):
     """Ordered record of transform steps from an input class to its nef limit."""
+
+    __match_args__ = ("input", "steps", "limit")
 
     input: DivisorClass
     steps: tuple[TransformStep, ...]
     limit: DivisorClass
+
+    def __init__(self, input: DivisorClass, steps: tuple[TransformStep, ...], limit: DivisorClass):
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "limit", limit)
 
     @property
     def step_count(self) -> int:
@@ -178,10 +190,10 @@ class _Kernel:
 def _kernel(surface: SurfaceModel) -> _Kernel:
     """The surface's kernel, built on its first query and kept on the surface.
 
-    It is stored as a plain instance attribute, not a dataclass field, so
-    that a lookup does not hash the whole surface, and equality, hashing
-    and repr of the surface are unaffected. Building it twice, say from two
-    threads at once, builds equal data, so the race is harmless.
+    It is stored as a plain instance attribute, not one of the surface's
+    fields, so that a lookup does not hash the whole surface, and equality,
+    hashing and repr of the surface are unaffected. Building it twice, say
+    from two threads at once, builds equal data, so the race is harmless.
     """
     kernel = surface.__dict__.get("_kernel")
     if kernel is None:

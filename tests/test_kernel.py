@@ -13,7 +13,6 @@ around that limit.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import operator
@@ -37,6 +36,7 @@ from surfcoh import (
     DivisorClass,
     NonAbutmentError,
     NotNefError,
+    SurfaceModel,
     SurfaceSpec,
     certify_vanishing,
     cone_contains,
@@ -230,7 +230,18 @@ class TestKeptOnSurface:
         assert iterate_to_nef(used, D([1, 1])).limit == D([0, 1])
         # The same surface with C0 dropped from the curve list: it must not
         # inherit the kernel built for the complete list.
-        replaced = dataclasses.replace(used, negative_curves=())
+        replaced = SurfaceModel(
+            used.name,
+            used.rank,
+            used.form,
+            used.canonical_class,
+            used.chi_structure_sheaf,
+            (),
+            used.mori_generators,
+            used.effective_generators,
+            used.regime,
+            used.basis_labels,
+        )
         assert transform._kernel(replaced) is not transform._kernel(used)
         with pytest.raises(ConsistencyError):
             iterate_to_nef(replaced, D([1, 1]))
