@@ -36,7 +36,6 @@ from .cones import Cone, cone_contains
 from .errors import (
     ConsistencyError,
     IntegralityError,
-    NonAbutmentError,
     NotEffectiveError,
     NotNefError,
     RankMismatchError,
@@ -85,7 +84,6 @@ __all__ = [
     "IntegralityError",
     "IntersectionForm",
     "MINUS_ONE_CURVE_COUNTS",
-    "NonAbutmentError",
     "NotEffectiveError",
     "NotNefError",
     "ORACLE_NAMES",

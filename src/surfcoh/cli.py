@@ -19,7 +19,6 @@ from .cohomology import cohomology
 from .errors import (
     ConsistencyError,
     IntegralityError,
-    NonAbutmentError,
     NotEffectiveError,
     RankMismatchError,
     SpecValidationError,
@@ -305,7 +304,6 @@ def main(argv: list[str] | None = None) -> int:
         UnknownSurfaceError,
         RankMismatchError,
         NotEffectiveError,
-        NonAbutmentError,
         IntegralityError,
         ConsistencyError,
         OSError,

@@ -169,9 +169,11 @@ def _h0_branch(
 def cohomology(surface: SurfaceModel, d: DivisorClass) -> CohomologyResult:
     """Full cohomology of O(d): h0 via the nef limit, h2 via K - d, h1 by chi.
 
-    Non-effective classes short-circuit to h0 = 0 without running the
-    transform. h1 is only reported when both h0 and h2 are certified; a
-    negative h1 would contradict the index identity and raises instead.
+    A class without a section gets h0 = 0: outside the effective cone
+    without running the transform, inside it when its transform needs a
+    step at a class that meets an ample class negatively. h1 is only
+    reported when both h0 and h2 are certified; a negative h1 would
+    contradict the index identity and raises instead.
     """
     chi = euler_characteristic(surface, d)
     h0, trace, certificate = _h0_branch(surface, d)

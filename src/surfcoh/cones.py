@@ -194,7 +194,11 @@ class Cone:
 
 
 def cone_contains(cone: Cone, d: DivisorClass) -> bool:
-    """True iff d is a non-negative rational combination of the generators."""
+    """True iff d is a non-negative rational combination of the generators.
+
+    This is membership in the rational cone: for an effective cone, a
+    member has a multiple with a section but may have no section itself.
+    """
     if cone.generators and cone.ambient_rank != len(d):
         raise RankMismatchError(
             f"cone lives in rank {cone.ambient_rank} but class has length {len(d)}"

@@ -21,15 +21,15 @@ class SpecValidationError(ValueError):
 
 
 class NotEffectiveError(ValueError):
-    """The operation is only defined for effective divisor classes."""
+    """The class has no section, so the operation does not apply.
+
+    Raised for a class outside the effective cone, and by the transform for
+    a class inside it whose strip shows that it has none.
+    """
 
 
 class NotNefError(ValueError):
     """The operation is only defined for nef divisor classes."""
-
-
-class NonAbutmentError(RuntimeError):
-    """The transform did not reach the nef cone within D·A steps for an ample A."""
 
 
 class ConsistencyError(RuntimeError):

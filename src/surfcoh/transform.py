@@ -2,7 +2,7 @@
 
 One step scans the surface's negative curves for those meeting the class
 negatively and subtracts each with multiplicity ceil((-C.D) / (-C.C)).
-Iterating from an effective class terminates on a nef class; the full
+Iterating from a class with a section terminates on a nef class; the full
 step-by-step history is kept as a TransformTrace.
 """
 
@@ -21,7 +21,7 @@ from .cones import (
     _phase1,
     cone_contains,
 )
-from .errors import ConsistencyError, NonAbutmentError, NotEffectiveError
+from .errors import ConsistencyError, NotEffectiveError
 from .lattice import DivisorClass, SurfaceModel, _Frozen, _require_rank
 
 
@@ -105,19 +105,18 @@ class _Kernel:
     """One surface's intersection data as integer tuples.
 
     ``curves`` holds each negative curve as (class, M·C, -C²), so that D·C is
-    one rank-length dot product of D's coefficients with M·C. ``mori_duals``
-    holds M·g for every Mori generator and ``other_mori_duals`` those of the
-    Mori generators that are not negative curves: once no negative curve
-    meets D negatively, only these can still show that D is not nef.
+    one rank-length dot product of D's coefficients with M·C.
+    ``other_mori_duals`` holds M·g for the Mori generators that are not
+    negative curves: once no negative curve meets D negatively, only these
+    can still show that D is not nef.
 
-    ``packed_curves`` and ``packed_mori`` hold the M·C and the M·g packed
-    one 64-bit field per vector, field i at bits [64 i, 64 i + 64) of one
-    integer per coordinate (see ``cones._Packed``), so that one integer
-    product gives every D·C + 2^63 at once. The fields are exact while
-    max|D[j]| < 2^63 / max ||M·C||_1; a class at or past that limit is
-    scanned vector by vector, and so is every class on a surface with no
-    more vectors than its rank (F_n, dP1, dP2, gdp2), which keeps None
-    there.
+    ``packed_curves`` holds the M·C packed one 64-bit field per curve,
+    field i at bits [64 i, 64 i + 64) of one integer per coordinate (see
+    ``cones._Packed``), so that one integer product gives every D·C + 2^63
+    at once. The fields are exact while max|D[j]| < 2^63 / max ||M·C||_1; a
+    class at or past that limit is scanned curve by curve, and so is every
+    class on a surface with no more curves than its rank (F_n, dP1, dP2,
+    gdp2), which keeps None there.
 
     ``ample_dual`` is M·A for an integral class A with A·x >= 1 on every
     Mori generator and negative curve x, so ample by Kleiman's criterion,
@@ -128,19 +127,15 @@ class _Kernel:
 
     __slots__ = (
         "curves",
-        "mori_duals",
         "other_mori_duals",
         "packed_curves",
-        "packed_mori",
         "cone",
         "ample_dual",
     )
 
     curves: tuple[tuple[DivisorClass, tuple[int, ...], int], ...]
-    mori_duals: tuple[tuple[int, ...], ...]
     other_mori_duals: tuple[tuple[int, ...], ...]
     packed_curves: _Packed | None
-    packed_mori: _Packed | None
     cone: Cone
     ample_dual: tuple[int, ...] | None
 
@@ -157,20 +152,13 @@ class _Kernel:
             (c, duals[c.coefficients], -sum(map(mul, duals[c.coefficients], c.coefficients)))
             for c in surface.negative_curves
         )
-        self.mori_duals = tuple(duals[g.coefficients] for g in surface.mori_generators)
         listed = {c.coefficients for c in surface.negative_curves}
         self.other_mori_duals = tuple(
             duals[g.coefficients]
             for g in surface.mori_generators
             if g.coefficients not in listed
         )
-        curve_duals = tuple(dual for _, dual, _ in self.curves)
-        self.packed_curves = _packed(curve_duals, surface.rank)
-        self.packed_mori = (
-            self.packed_curves
-            if self.mori_duals == curve_duals
-            else _packed(self.mori_duals, surface.rank)
-        )
+        self.packed_curves = _packed(tuple(dual for _, dual, _ in self.curves), surface.rank)
         self.cone = Cone(surface.effective_generators)
         # A separator w of (0, ..., 0, -1) from the duals extended by -1 has
         # w[:-1]·(M·x) >= w[-1] >= 1 for every x.
@@ -203,26 +191,26 @@ def _kernel(surface: SurfaceModel) -> _Kernel:
 
 
 def is_nef(surface: SurfaceModel, d: DivisorClass) -> bool:
-    """Non-negative against every Mori generator.
+    """Non-negative against every negative curve and every other Mori generator.
 
-    With the Mori duals packed (more generators than coordinates) and
-    max|d_j| < 2^63 / max ||M·g||_1, this is one mask test: every 64-bit
-    field D·g + 2^63 of the packed total has its top bit set. Otherwise
-    each generator is paired with d in turn.
+    The curves are scanned as one transform step scans them (``_fixed_part``),
+    the other Mori generators one by one.
     """
     _require_rank(surface, d)
     kernel = _kernel(surface)
     coeffs = d.coefficients
-    packed = kernel.packed_mori
-    if packed is not None:
-        total = packed.total(coeffs)
-        if total is not None:
-            return total & packed.bias == packed.bias
-    return all(sum(map(mul, g, coeffs)) >= 0 for g in kernel.mori_duals)
+    return not _fixed_part(kernel, coeffs) and all(
+        sum(map(mul, g, coeffs)) >= 0 for g in kernel.other_mori_duals
+    )
 
 
 def is_effective(surface: SurfaceModel, d: DivisorClass) -> bool:
-    """Membership of d in the surface's effective cone; zero counts."""
+    """Membership of d in the surface's effective cone; zero counts.
+
+    The cone is the rational cone spanned by the effective generators. A
+    class in it need not have a section: some multiple of it does, but the
+    class itself can have h0 = 0.
+    """
     _require_rank(surface, d)
     return cone_contains(_kernel(surface).cone, d)
 
@@ -290,11 +278,13 @@ def iterate_to_nef(surface: SurfaceModel, d: DivisorClass) -> TransformTrace:
     """Iterate the step until the fixed part is empty; the limit is nef.
 
     The negatively-met curve set is recomputed from the current class each
-    round, since it changes between steps. Each step lowers D·A by at least
-    1 for the kernel's ample class A and an effective limit has D·A >= 0,
-    so genuine inputs abut within D·A steps; more steps than that raise
-    NonAbutmentError, and a step on a surface without an ample class raises
-    ConsistencyError.
+    round, since it changes between steps. NotEffectiveError means that d
+    has no section: either d is outside the effective cone, or a step is
+    needed at a class with D·A < 0 for the kernel's ample class A. A class
+    with a section keeps one at every step, since each stripped curve is a
+    fixed component, so D·A >= 0 throughout. Each step lowers D·A by at
+    least 1, so the loop ends within D·A + 1 steps. A step on a surface
+    without an ample class raises ConsistencyError.
     """
     if not is_effective(surface, d):
         raise NotEffectiveError(
@@ -305,7 +295,6 @@ def iterate_to_nef(surface: SurfaceModel, d: DivisorClass) -> TransformTrace:
     current = d
     coeffs = d.coefficients
     ample = kernel.ample_dual
-    bound = None if ample is None else sum(map(mul, ample, coeffs))
     while True:
         terms = _fixed_part(kernel, coeffs)
         if not terms:
@@ -317,16 +306,16 @@ def iterate_to_nef(surface: SurfaceModel, d: DivisorClass) -> TransformTrace:
                     f"negative curve list is incomplete"
                 )
             return TransformTrace(input=d, steps=tuple(steps), limit=current)
-        if bound is None:
+        if ample is None:
             raise ConsistencyError(
                 f"the Mori generators and negative curves of {surface.name!r} lie in "
                 f"no open half-space, so no class is ample; the transform of {d} "
                 f"cannot be bounded"
             )
-        if len(steps) >= bound:
-            raise NonAbutmentError(
-                f"no nef limit within D·A = {bound} steps starting from {d} "
-                f"on {surface.name!r}; surface data is likely inconsistent"
+        if sum(map(mul, ample, coeffs)) < 0:
+            raise NotEffectiveError(
+                f"class {d} has no section on {surface.name!r}: its transform "
+                f"reached {current}, which meets an ample class negatively"
             )
         coeffs = _subtract(coeffs, terms)
         current = DivisorClass._of_ints(coeffs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -19,6 +20,7 @@ from surfcoh import (
     DivisorClass,
     HalfplaneSet,
     IntersectionForm,
+    NotEffectiveError,
     Regime,
     RankMismatchError,
     SurfaceModel,
@@ -27,10 +29,13 @@ from surfcoh import (
     cohomology,
     count_lattice_points,
     euler_characteristic,
+    is_effective,
     is_nef,
+    iterate_to_nef,
     oracle_h0,
     polytope_from_ray_coefficients,
     polytope_of_divisor,
+    serre_dual,
     toric_model,
 )
 
@@ -392,3 +397,42 @@ class TestBlowUpSequences:
         result = cohomology(surface, d)
         assert result.trace.step_count == 1093
         assert result.h0 == oracle_h0(toric, d) == 391_170
+
+    @pytest.mark.parametrize("regime", [Regime.TORIC_CONVEX_FAN, Regime.GENERAL])
+    def test_effective_class_without_a_section(self, regime):
+        # The class lies in the effective cone and has D·A = 17, but neither
+        # it nor K - D has a lattice point. Its strip needs a step at D·A < 0,
+        # which shows that it has no section.
+        toric = reduce(toric_module._blow_up, (1, 3, 0, 4, 1, 6), toric_module._PLANE)
+        surface = fan_surface(toric, regime)
+        d = D([5, -5, 0, 1, -5, -6, 1])
+        assert is_effective(surface, d)
+        result = cohomology(surface, d)
+        assert (result.h0, result.h1, result.h2, result.chi) == (0, 30, 0, -30)
+        assert result.h0 == oracle_h0(toric, d)
+        assert result.h2 == oracle_h0(toric, serre_dual(surface, d))
+
+    def test_every_step_keeps_the_count(self):
+        # The transform preserves h0 step by step, not only at its limit: on
+        # seeded 1- to 6-fold blow-ups, every class of a trace has the input's
+        # lattice-point count, and a class whose strip finds no section has
+        # none.
+        rng = random.Random("blow-up steps")
+        steps = 0
+        for k in range(60):
+            toric = toric_module._PLANE
+            for _ in range(k % 6 + 1):
+                toric = toric_module._blow_up(toric, rng.randrange(len(toric.rays)))
+            surface = fan_surface(toric, Regime.TORIC_CONVEX_FAN)
+            count = min(200, 13**toric.rank)
+            for d in sampled_box_classes(toric.rank, count, f"steps:{k}:{toric.rays}"):
+                expected = oracle_h0(toric, d)
+                try:
+                    trace = iterate_to_nef(surface, d)
+                except NotEffectiveError:
+                    assert expected == 0, d
+                    continue
+                for step in trace.steps:
+                    assert oracle_h0(toric, step.result) == expected, (d, step.result)
+                steps += trace.step_count
+        assert steps > 10_000

@@ -14,10 +14,10 @@ from surfcoh import (
     ConsistencyError,
     DivisorClass,
     IntersectionForm,
-    NonAbutmentError,
     NotEffectiveError,
     Regime,
     SurfaceModel,
+    cohomology,
     intersect,
     is_effective,
     is_nef,
@@ -138,13 +138,20 @@ class TestIterate:
             D([2, 0, 0]),
         ]
 
-    def test_divergent_transform_stops_at_the_ample_degree(self):
-        # Curves of square -3 meeting in 6 make the strip diverge; A = e1 + e2
-        # meets both in 3, so D·A = 9 bounds the steps of (5, -2).
+    def test_step_below_the_ample_degree_shows_no_section(self):
+        # Curves of square -3 meeting in 6; A = e1 + e2 meets both in 3. One
+        # step takes (5, -2) at D·A = 9 to (-4, -2) at D·A = -18, which still
+        # needs a step, so (5, -2) has no section.
         surface = two_curve_surface([[-3, 6], [6, -3]])
-        with pytest.raises(NonAbutmentError) as err:
+        assert isoparametric_step(surface, D([5, -2]))[0] == D([-4, -2])
+        with pytest.raises(NotEffectiveError) as err:
             iterate_to_nef(surface, D([5, -2]))
-        assert "D·A = 9 steps" in str(err.value)
+        assert "reached [-4, -2]" in str(err.value)
+        # D² = -207 is odd, so `cohomology` raises for (5, -2) before its h0
+        # branch. (6, -2) strips to the same class, and has chi = -131.
+        result = cohomology(surface, D([6, -2]))
+        assert (result.h0, result.h1, result.h2, result.chi) == (0, 131, 0, -131)
+        assert result.trace is None
 
     def test_no_ample_class(self):
         # e1·e2 = 1 = -e1² makes the two curves opposite: no class meets both
