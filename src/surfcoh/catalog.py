@@ -148,9 +148,10 @@ def load_surface(spec: SurfaceSpec) -> SurfaceModel:
 
     The model checks symmetry of the pairing, lengths of all vectors and
     negativity of every listed curve; this adds evenness of d.(d - K) on
-    the lattice basis, which forces it on the whole lattice and so on every
-    listed vector, and the Hodge index theorem: the pairing must have
-    signature (1, rank - 1).
+    the whole lattice, and so on every listed vector, read off the
+    diagonal: mod 2, d.(d - K) is sum_i d_i (M_ii - (M.K)_i), so each
+    M_ii - (M.K)_i must be even. It also checks the Hodge index theorem:
+    the pairing must have signature (1, rank - 1).
     """
     try:
         regime = Regime(spec.regime)
@@ -168,12 +169,9 @@ def load_surface(spec: SurfaceSpec) -> SurfaceModel:
         effective_generators=tuple(DivisorClass(v) for v in spec.effective_generators),
         regime=regime,
     )
-    rank, form, canonical = surface.rank, surface.form, surface.canonical_class
-    # Parity of d.(d-K) is additive mod 2, so checking basis vectors covers the lattice.
-    for i in range(rank):
-        basis_vec = DivisorClass(1 if j == i else 0 for j in range(rank))
-        parity = form.pairing(basis_vec, basis_vec - canonical)
-        if parity % 2:
+    rank, form = surface.rank, surface.form
+    for i, (row, k_dual) in enumerate(zip(form.matrix, form.dual(surface.canonical_class))):
+        if (row[i] - k_dual) % 2:
             raise SpecValidationError(
                 "canonical_class",
                 f"d.(d - K) is odd on basis vector {i}; lattice data is inconsistent",
@@ -250,6 +248,20 @@ def make_hirzebruch(n: int) -> SurfaceModel:
     )
 
 
+# The seven types (a; b_1 >= b_2 >= ...) of (-1)-classes a*H - sum(b_i * E_i)
+# on dP_k, zero multiplicities left out (Manin, Cubic Forms, Ch. IV): every
+# solution of sum(b) = 3a - 1 and sum(b^2) = a^2 + 1 with at most 8 b_i.
+_MINUS_ONE_TYPES = (
+    (0, (-1,)),
+    (1, (1, 1)),
+    (2, (1,) * 5),
+    (3, (2,) + (1,) * 6),
+    (4, (2,) * 3 + (1,) * 5),
+    (5, (2,) * 6 + (1,) * 2),
+    (6, (3,) + (2,) * 7),
+)
+
+
 # Both dP caches are typed: an untyped cache keys an int subclass (an IntEnum
 # member, say) by a value that True and 1.0 compare equal to, so they would
 # get its cached result without reaching the index check.
@@ -257,35 +269,18 @@ def make_hirzebruch(n: int) -> SurfaceModel:
 def enumerate_minus_one_curves(k: int) -> tuple[DivisorClass, ...]:
     """All classes a*H - sum(b_i * E_i) on dP_k with square -1 and K-degree -1.
 
-    Exhaustive search over a in [0, 6], b_i in [-1, 3]; the classical
-    classification guarantees every (-1)-class lies in this box, and the
-    completeness of the sweep is pinned by the known counts in tests. Both
-    conditions, sum(b) = 3a - 1 and sum(b^2) = a^2 + 1, are symmetric in the
-    b_i, so the search runs over non-increasing b only and then takes every
-    distinct ordering of each hit.
+    Every such class is a distinct ordering of one of the seven classical
+    types in ``_MINUS_ONE_TYPES`` that has at most k multiplicities, padded
+    with zeros to k entries; the tests pin the list against an exhaustive
+    sweep of a in [0, 6], b_i in [-1, 3] and against the known counts.
     """
     k = _del_pezzo_index(k)
-    found: list[tuple[int, ...]] = []
-    for a in range(0, 7):
-        target_sum = 3 * a - 1  # from D.K = -1
-        target_sq = a * a + 1   # from D.D = -1
-
-        def descend(i: int, acc_sum: int, acc_sq: int, prefix: tuple[int, ...], top: int):
-            remaining = k - i
-            if acc_sq > target_sq:
-                return
-            if acc_sum + 3 * remaining < target_sum or acc_sum - remaining > target_sum:
-                return
-            if acc_sq + 9 * remaining < target_sq:
-                return
-            if i == k:
-                if acc_sum == target_sum and acc_sq == target_sq:
-                    found.extend((a,) + tuple(-b for b in order) for order in _orderings(prefix))
-                return
-            for b in range(-1, top + 1):
-                descend(i + 1, acc_sum + b, acc_sq + b * b, prefix + (b,), b)
-
-        descend(0, 0, 0, (), 3)
+    found = [
+        (a,) + tuple(-b for b in order)
+        for a, multiplicities in _MINUS_ONE_TYPES
+        if len(multiplicities) <= k
+        for order in _orderings(multiplicities + (0,) * (k - len(multiplicities)))
+    ]
     return tuple(DivisorClass(v) for v in sorted(found))
 
 

@@ -142,7 +142,7 @@ def certify_vanishing(surface: SurfaceModel, d_nef: DivisorClass) -> VanishingCe
 
 
 _NOT_EFFECTIVE = VanishingCertificate(
-    CertificateRule.NONE, "class is not effective; h0 = 0 unconditionally"
+    CertificateRule.NONE, "class has no section; h0 = 0 unconditionally"
 )
 
 

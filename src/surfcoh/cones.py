@@ -9,8 +9,10 @@ divides exactly (Bareiss), so answers on the cone boundary are exact
 without any rational arithmetic. A generator's reduced cost is computed
 only when the pivot rule needs it. Dantzig's rule needs all of them: on a
 cone with more generators than coordinates they come from one product
-with the cone's packed generators (``_Packed``); on smaller cones, and
-past the packing's exactness limit, from one dot product per generator.
+with the cone's packed generators (``_Packed``: one little-endian 64-bit
+field per generator, read back with one ``struct`` unpack); on smaller
+cones, and past the packing's exactness limit, from one dot product per
+generator.
 Bland's rule, once it takes over, stops at the first generator that
 improves.
 
@@ -26,7 +28,7 @@ still basic; that run yields no witness.
 
 from __future__ import annotations
 
-import sys
+import struct
 from collections.abc import Iterable
 from functools import lru_cache
 from operator import mul
@@ -40,10 +42,7 @@ _Witness = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]
 # Each packed vector owns one 64-bit field of an arbitrary-precision integer.
 _FIELD_BITS = 64
 _HALF = 1 << (_FIELD_BITS - 1)
-_FIELD_BYTES = _FIELD_BITS // 8
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
-# Byte order of the native 64-bit fields that a packed total is read as.
-_NATIVE = sys.byteorder
 
 
 class _Packed:
@@ -57,6 +56,10 @@ class _Packed:
     ceil(2^63 / max_i ||v_i||_1), or 2^63 when every v_i is 0; ``total``
     returns None beyond it.
 
+    ``fields`` is the ``struct`` layout of those fields, little-endian
+    unsigned 64-bit, one per vector: ``fields.unpack`` of a total's
+    ``fields.size`` little-endian bytes gives every D·v_i + 2^63.
+
     ``duals_fit`` is True when every dual vector of a phase-1 run over these
     vectors as generators is within the limit. Such a dual is a sum of at
     most ``rank`` rows of det times a basis inverse, whose entries are
@@ -65,17 +68,17 @@ class _Packed:
     vectors (each taken as at least 1).
     """
 
-    __slots__ = ("columns", "bias", "limit", "size", "duals_fit")
+    __slots__ = ("columns", "bias", "limit", "fields", "duals_fit")
 
     columns: tuple[int, ...]
     bias: int
     limit: int
-    size: int
+    fields: struct.Struct
     duals_fit: bool
 
     def __init__(self, vectors: tuple[tuple[int, ...], ...], rank: int):
-        self.size = len(vectors) * _FIELD_BYTES
-        self.bias = int.from_bytes(_HALF.to_bytes(_FIELD_BYTES, "little") * len(vectors), "little")
+        self.fields = struct.Struct(f"<{len(vectors)}Q")
+        self.bias = int.from_bytes(self.fields.pack(*[_HALF] * len(vectors)), "little")
         self.columns = tuple(self._column([v[j] for v in vectors]) for j in range(rank))
         norm = max([sum(map(abs, v)) for v in vectors], default=0) or 1
         self.limit = -(-_HALF // norm)
@@ -87,20 +90,17 @@ class _Packed:
         self.duals_fit = bound < self.limit * self.limit
 
     def _column(self, values: list[int]) -> int:
-        """sum_i values[i]·2^(64 i), written as native signed 64-bit fields.
+        """sum_i values[i]·2^(64 i), written as little-endian signed 64-bit fields.
 
         Read back as one unsigned integer, each negative field carries
         2^64 too much, which its sign bit, shifted up one place, removes.
         Values past 64 bits are summed shift by shift instead.
         """
-        buffer = bytearray(self.size)
-        fields = memoryview(buffer).cast("q")
         try:
-            for i, x in enumerate(values if _NATIVE == "little" else values[::-1]):
-                fields[i] = x
-        except ValueError:
+            buffer = struct.pack(f"<{len(values)}q", *values)
+        except struct.error:
             return sum(x << (_FIELD_BITS * i) for i, x in enumerate(values))
-        unsigned = int.from_bytes(buffer, _NATIVE)
+        unsigned = int.from_bytes(buffer, "little")
         return unsigned - ((unsigned & self.bias) << 1)
 
     def total(self, coeffs: tuple[int, ...]) -> int | None:
@@ -325,7 +325,7 @@ def _phase1(
     cost.append(-sum(map(abs, target)))
     det = 1
     if packed is not None:
-        columns, bias, limit, size = packed.columns, packed.bias, packed.limit, packed.size
+        columns, bias, limit, fields = packed.columns, packed.bias, packed.limit, packed.fields
         duals_fit = packed.duals_fit
 
     use_bland = False
@@ -352,9 +352,7 @@ def _phase1(
                 duals_fit or max(cost[:n]) < limit and -min(cost[:n]) < limit
             ):
                 total = sum(map(mul, cost, columns), bias)
-                costs = memoryview(total.to_bytes(size, _NATIVE)).cast("Q").tolist()
-                if _NATIVE == "big":
-                    costs.reverse()
+                costs = fields.unpack(total.to_bytes(fields.size, "little"))
                 f = min(costs)
                 if f < _HALF:
                     entering = costs.index(f)

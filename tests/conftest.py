@@ -19,6 +19,7 @@ from surfcoh import (
     make_del_pezzo,
     make_hirzebruch,
 )
+from surfcoh import toric as toric_module
 
 settings.register_profile(
     "surfcoh",
@@ -88,6 +89,9 @@ def box_classes(rank: int, lo: int = -6, hi: int = 6):
 
 
 def sampled_box_classes(rank: int, count: int, seed: str, lo: int = -6, hi: int = 6):
+    """count distinct seeded classes of the box [lo, hi]^rank."""
+    if count > (hi - lo + 1) ** rank:
+        raise ValueError(f"the box [{lo}, {hi}]^{rank} holds fewer than {count} classes")
     rng = random.Random(seed)
     seen: set[tuple[int, ...]] = set()
     out: list[DivisorClass] = []
@@ -99,20 +103,90 @@ def sampled_box_classes(rank: int, count: int, seed: str, lo: int = -6, hi: int 
     return out
 
 
+# Draws allowed per class asked of sampled_effective_classes, whose span of
+# distinct combinations is not known in advance.
+_DRAWS_PER_CLASS = 100
+
+
 def sampled_effective_classes(surface: SurfaceModel, count: int, seed: str):
-    """Random non-negative combinations of Mori generators; effective by construction."""
+    """Random non-negative combinations of Mori generators; effective by construction.
+
+    Raises ValueError when _DRAWS_PER_CLASS * count draws do not give count
+    distinct classes.
+    """
     rng = random.Random(seed)
     gens = surface.mori_generators
     seen: set[tuple[int, ...]] = set()
     out: list[DivisorClass] = []
-    while len(out) < count:
+    for _ in range(_DRAWS_PER_CLASS * count):
+        if len(out) == count:
+            break
         d = DivisorClass.zero(surface.rank)
         for _ in range(rng.randint(1, 4)):
             d = d + rng.randint(0, 3) * gens[rng.randrange(len(gens))]
         if d.coefficients not in seen:
             seen.add(d.coefficients)
             out.append(d)
+    if len(out) < count:
+        raise ValueError(
+            f"{_DRAWS_PER_CLASS * count} draws gave only {len(out)} of {count} "
+            f"distinct classes on {surface.name!r}"
+        )
     return out
+
+
+def ray_classes(toric) -> list[DivisorClass]:
+    """The Picard class of each ray divisor D_i, the columns of class_map."""
+    return [DivisorClass(column) for column in zip(*toric.class_map)]
+
+
+def ray_degrees(toric) -> list[int]:
+    """a_i with v_(i-1) + v_(i+1) = a_i v_i for each ray; D_i^2 = -a_i."""
+    rays = toric.rays
+    degrees = []
+    for i, (vx, vy) in enumerate(rays):
+        (bx, by), (ax, ay) = rays[i - 1], rays[(i + 1) % len(rays)]
+        a = (bx + ax) // vx if vx else (by + ay) // vy
+        assert (bx + ax, by + ay) == (a * vx, a * vy), (toric.name, i)
+        degrees.append(a)
+    return degrees
+
+
+def fan_surface(toric, regime: Regime) -> SurfaceModel:
+    """The Picard model a blow-up of the plane reads off its fan.
+
+    The basis is H and the total transforms E_1, ..., E_k, so the form is
+    diag(1, -1, ..., -1). K = -sum D_i; the negative curves are the D_i with
+    a_i > 0 (every negative curve of a toric surface is torus-invariant), and
+    the D_i generate both the Mori cone and the effective cone.
+    """
+    rank = toric.rank
+    classes = ray_classes(toric)
+    return SurfaceModel(
+        name=toric.name,
+        rank=rank,
+        form=IntersectionForm(
+            [[(1 if i == 0 else -1) if i == j else 0 for j in range(rank)] for i in range(rank)]
+        ),
+        canonical_class=-sum(classes, DivisorClass.zero(rank)),
+        chi_structure_sheaf=1,
+        negative_curves=tuple(c for c, a in zip(classes, ray_degrees(toric)) if a > 0),
+        mori_generators=tuple(classes),
+        effective_generators=tuple(classes),
+        regime=regime,
+    )
+
+
+def seeded_blow_ups():
+    """(toric, classes) for 60 seeded 1- to 6-fold blow-ups of the plane at
+    torus-fixed points, each with up to 200 seeded classes of [-6, 6]^rank."""
+    rng = random.Random("blow-up steps")
+    for k in range(60):
+        toric = toric_module._PLANE
+        for _ in range(k % 6 + 1):
+            toric = toric_module._blow_up(toric, rng.randrange(len(toric.rays)))
+        count = min(200, 13**toric.rank)
+        yield toric, sampled_box_classes(toric.rank, count, f"steps:{k}:{toric.rays}")
 
 
 def corrupt_f2_spec(tmp_path):

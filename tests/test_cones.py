@@ -639,3 +639,30 @@ class TestPacked:
                 sum(v[j] << (64 * i) for i, v in enumerate(vectors)) for j in range(3)
             )
         assert cones._Packed((), 2).columns == (0, 0)
+
+    def test_unpacked_fields_are_the_biased_products(self):
+        # The read path: a total's bytes, unpacked by the packing's layout,
+        # are D·v_i + 2^63 for every class D within the limit.
+        rng = random.Random("packed-fields")
+        for bound in (1, 40, 2**20, 2**40):
+            for count in (1, 5, 40):
+                rank = rng.randint(1, 6)
+                vectors = tuple(
+                    tuple(rng.randint(-bound, bound) for _ in range(rank)) for _ in range(count)
+                )
+                packed = cones._Packed(vectors, rank)
+                for _ in range(20):
+                    size = rng.choice((6, packed.limit - 1))
+                    d = tuple(rng.randint(-size, size) for _ in range(rank))
+                    assert _unpacked(packed, d) == tuple(
+                        sum(x * y for x, y in zip(d, v)) + 2**63 for v in vectors
+                    )
+        # Products at ±(2^63 - 1) fill their fields to 2^64 - 1 and 1.
+        packed = cones._Packed(((1,), (-1,), (0,)), 1)
+        assert packed.limit == 2**63
+        assert _unpacked(packed, (2**63 - 1,)) == (2**64 - 1, 1, 2**63)
+        assert _unpacked(packed, (-(2**63 - 1),)) == (1, 2**64 - 1, 2**63)
+
+
+def _unpacked(packed, d):
+    return packed.fields.unpack(packed.total(d).to_bytes(packed.fields.size, "little"))

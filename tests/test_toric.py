@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -12,18 +11,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import box_classes, sampled_box_classes
+from conftest import (
+    box_classes,
+    fan_surface,
+    ray_classes,
+    ray_degrees,
+    sampled_box_classes,
+    seeded_blow_ups,
+)
 from surfcoh import toric as toric_module
 from surfcoh import transform
 from surfcoh import (
     ORACLE_NAMES,
     DivisorClass,
     HalfplaneSet,
-    IntersectionForm,
     NotEffectiveError,
     Regime,
     RankMismatchError,
-    SurfaceModel,
     UnboundedPolytopeError,
     UnknownSurfaceError,
     cohomology,
@@ -42,48 +46,6 @@ from surfcoh import (
 D = DivisorClass
 
 MODEL_NAMES = ORACLE_NAMES
-
-
-def ray_classes(toric) -> list[DivisorClass]:
-    """The Picard class of each ray divisor D_i, the columns of class_map."""
-    return [D(column) for column in zip(*toric.class_map)]
-
-
-def ray_degrees(toric) -> list[int]:
-    """a_i with v_(i-1) + v_(i+1) = a_i v_i for each ray; D_i^2 = -a_i."""
-    rays = toric.rays
-    degrees = []
-    for i, (vx, vy) in enumerate(rays):
-        (bx, by), (ax, ay) = rays[i - 1], rays[(i + 1) % len(rays)]
-        a = (bx + ax) // vx if vx else (by + ay) // vy
-        assert (bx + ax, by + ay) == (a * vx, a * vy), (toric.name, i)
-        degrees.append(a)
-    return degrees
-
-
-def fan_surface(toric, regime: Regime) -> SurfaceModel:
-    """The Picard model a blow-up of the plane reads off its fan.
-
-    The basis is H and the total transforms E_1, ..., E_k, so the form is
-    diag(1, -1, ..., -1). K = -sum D_i; the negative curves are the D_i with
-    a_i > 0 (every negative curve of a toric surface is torus-invariant), and
-    the D_i generate both the Mori cone and the effective cone.
-    """
-    rank = toric.rank
-    classes = ray_classes(toric)
-    return SurfaceModel(
-        name=toric.name,
-        rank=rank,
-        form=IntersectionForm(
-            [[(1 if i == 0 else -1) if i == j else 0 for j in range(rank)] for i in range(rank)]
-        ),
-        canonical_class=-sum(classes, D.zero(rank)),
-        chi_structure_sheaf=1,
-        negative_curves=tuple(c for c, a in zip(classes, ray_degrees(toric)) if a > 0),
-        mori_generators=tuple(classes),
-        effective_generators=tuple(classes),
-        regime=regime,
-    )
 
 
 @st.composite
@@ -411,21 +373,22 @@ class TestBlowUpSequences:
         assert (result.h0, result.h1, result.h2, result.chi) == (0, 30, 0, -30)
         assert result.h0 == oracle_h0(toric, d)
         assert result.h2 == oracle_h0(toric, serre_dual(surface, d))
+        no_section = "class has no section; h0 = 0 unconditionally"
+        assert result.certificate.detail == no_section
+        # A class outside the effective cone has no section either.
+        outside = D([-1, 0, 0, 0, 0, 0, 0])
+        assert not is_effective(surface, outside)
+        assert cohomology(surface, outside).certificate.detail == no_section
 
     def test_every_step_keeps_the_count(self):
         # The transform preserves h0 step by step, not only at its limit: on
         # seeded 1- to 6-fold blow-ups, every class of a trace has the input's
         # lattice-point count, and a class whose strip finds no section has
         # none.
-        rng = random.Random("blow-up steps")
         steps = 0
-        for k in range(60):
-            toric = toric_module._PLANE
-            for _ in range(k % 6 + 1):
-                toric = toric_module._blow_up(toric, rng.randrange(len(toric.rays)))
+        for toric, classes in seeded_blow_ups():
             surface = fan_surface(toric, Regime.TORIC_CONVEX_FAN)
-            count = min(200, 13**toric.rank)
-            for d in sampled_box_classes(toric.rank, count, f"steps:{k}:{toric.rays}"):
+            for d in classes:
                 expected = oracle_h0(toric, d)
                 try:
                     trace = iterate_to_nef(surface, d)
