@@ -9,7 +9,6 @@ of a user-supplied curve list from lattice data alone.
 
 from __future__ import annotations
 
-import json
 import operator
 import re
 from collections.abc import Iterable, Iterator
@@ -94,6 +93,8 @@ class SurfaceSpec(_Frozen):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "SurfaceSpec":
+        import json  # here, not at module level: a catalog surface never reads JSON
+
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -271,29 +272,41 @@ def enumerate_minus_one_curves(k: int) -> tuple[DivisorClass, ...]:
 
     Every such class is a distinct ordering of one of the seven classical
     types in ``_MINUS_ONE_TYPES`` that has at most k multiplicities, padded
-    with zeros to k entries; the tests pin the list against an exhaustive
-    sweep of a in [0, 6], b_i in [-1, 3] and against the known counts.
+    with zeros to k entries. The list is in increasing order: the types by
+    a, and each type's orderings lexicographically. The tests pin it against
+    an exhaustive sweep of a in [0, 6], b_i in [-1, 3] and against the known
+    counts.
     """
     k = _del_pezzo_index(k)
-    found = [
-        (a,) + tuple(-b for b in order)
-        for a, multiplicities in _MINUS_ONE_TYPES
-        if len(multiplicities) <= k
-        for order in _orderings(multiplicities + (0,) * (k - len(multiplicities)))
-    ]
-    return tuple(DivisorClass(v) for v in sorted(found))
+    return tuple(
+        DivisorClass._of_ints((a,) + order)
+        for a, b in _MINUS_ONE_TYPES
+        if len(b) <= k
+        for order in _orderings(tuple(-x for x in b) + (0,) * (k - len(b)))
+    )
 
 
 def _orderings(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every distinct ordering of values, each once."""
-    if not values:
-        yield ()
-        return
-    for first in set(values):
-        rest = list(values)
-        rest.remove(first)
-        for tail in _orderings(tuple(rest)):
-            yield (first,) + tail
+    """Every distinct ordering of values, each once, in increasing order.
+
+    Starting from the sorted ordering, each step goes to the lexicographic
+    successor (Knuth, TAOCP 7.2.1.2, Algorithm L), so every distinct ordering
+    comes exactly once however many values are equal.
+    """
+    order = sorted(values)
+    last = len(order) - 1
+    while True:
+        yield tuple(order)
+        i = last - 1
+        while i >= 0 and order[i] >= order[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while order[j] <= order[i]:
+            j -= 1
+        order[i], order[j] = order[j], order[i]
+        order[i + 1 :] = order[:i:-1]
 
 
 def _del_pezzo_index(k) -> int:

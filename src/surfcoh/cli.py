@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from pathlib import Path
 
@@ -81,6 +80,8 @@ def _parse_box(text: str) -> tuple[int, int]:
 
 def _emit(payload: dict, text_lines: list[str], fmt: str) -> None:
     if fmt == "json":
+        import json  # here, not at module level: text output never needs it
+
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
@@ -307,8 +308,15 @@ def main(argv: list[str] | None = None) -> int:
         IntegralityError,
         ConsistencyError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # A spec file that is not JSON; json is loaded already if one was read.
+        import json
+
+        if not isinstance(exc, json.JSONDecodeError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -274,28 +274,33 @@ class SurfaceModel(_Frozen):
                 "canonical_class",
                 f"length {len(canonical_class)} does not match rank {rank}",
             )
+        # dP_k for k >= 2 passes one tuple as all three fields: check each
+        # distinct tuple once, under the first field that holds it.
+        distinct: list[tuple[str, tuple[DivisorClass, ...]]] = []
         for field_name, vectors in (
             ("negative_curves", negative_curves),
             ("mori_generators", mori_generators),
             ("effective_generators", effective_generators),
         ):
+            if not any(vectors is seen for _, seen in distinct):
+                distinct.append((field_name, vectors))
+        for field_name, vectors in distinct:
             for v in vectors:
                 if len(v) != rank:
                     raise SpecValidationError(
                         field_name,
                         f"vector {v} has length {len(v)}, expected {rank}",
                     )
-        for curve in negative_curves:
-            if form.pairing(curve, curve) >= 0:
+        for curve, square in zip(negative_curves, _squares(form, negative_curves)):
+            if square >= 0:
                 raise SpecValidationError(
                     "negative_curves",
-                    f"curve {curve} has self-intersection "
-                    f"{form.pairing(curve, curve)} >= 0",
+                    f"curve {curve} has self-intersection {square} >= 0",
                 )
-        for field_name, vectors in (
-            ("mori_generators", mori_generators),
-            ("effective_generators", effective_generators),
-        ):
+        for field_name, vectors in distinct:
+            # A class of negative square is nonzero.
+            if vectors is negative_curves:
+                continue
             for v in vectors:
                 if v.is_zero:
                     raise SpecValidationError(field_name, "cone generators must be nonzero")
@@ -316,6 +321,26 @@ class SurfaceModel(_Frozen):
         object.__setattr__(self, "effective_generators", effective_generators)
         object.__setattr__(self, "regime", regime)
         object.__setattr__(self, "basis_labels", basis_labels)
+
+
+def _squares(form: IntersectionForm, classes: tuple[DivisorClass, ...]) -> list[int]:
+    """d.d for each class d of the form's rank, summed over the nonzero entries.
+
+    The same numbers as ``form.pairing(d, d)`` without its rank checks and
+    without a rank x rank product per class: a del Pezzo form is diagonal.
+    """
+    m = form.matrix
+    n = len(m)
+    diagonal = [m[i][i] for i in range(n)]
+    off_diagonal = [(i, j, 2 * m[i][j]) for i in range(n) for j in range(i + 1, n) if m[i][j]]
+    squares = []
+    for d in classes:
+        v = d.coefficients
+        square = sum(map(operator.mul, diagonal, map(operator.mul, v, v)))
+        for i, j, twice in off_diagonal:
+            square += twice * v[i] * v[j]
+        squares.append(square)
+    return squares
 
 
 def _require_rank(surface: SurfaceModel, d: DivisorClass) -> None:

@@ -287,6 +287,12 @@ class TestLoadSurface:
             load_surface(SurfaceSpec.from_dict(data))
         assert err.value.field == "negative_curves"
 
+    def test_malformed_json_raises_a_decode_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": ', encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            SurfaceSpec.from_file(path)
+
     def test_missing_field_named(self):
         data = self.gdp2_dict()
         del data["canonical_class"]

@@ -311,3 +311,16 @@ class TestEntryPoint:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: document: ")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_malformed_json_spec_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": "broken", "rank": ', encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "surfcoh", "catalog", "--surface", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: Expecting value: line 1 column ")
+        assert len(proc.stderr.splitlines()) == 1

@@ -625,6 +625,88 @@ class TestAgainstDenseTableau:
         assert mid_run > 20
 
 
+# Chvatal's cycling example (Linear Programming, 1983, ch. 3): maximise
+# 10x1 - 57x2 - 9x3 - 24x4 subject to 0.5x1 - 5.5x2 - 2.5x3 + 9x4 <= 0,
+# 0.5x1 - 1.5x2 - 0.5x3 + x4 <= 0 and x1 <= 1, as a phase-1 LP. Row j of the
+# target is constraint j; the first two rows are doubled, so their slacks are
+# the generators 2e_1 and 2e_2 (columns 4 and 5) and the artificial columns
+# e_1 and e_2 are half of them. Row 4 makes the phase-1 objective, the sum of
+# the artificials, equal the example's objective plus a constant: it holds
+# minus the cost minus the column's other entries. Column 6 only enters
+# first, out of row 5, so that the cycle starts one pivot into the run, and
+# column 7 never enters: with it, stall_limit = 2 * (8 + 5 + 5) = 36 is a
+# whole number of cycles.
+CYCLING_GENERATORS = (
+    (1, 1, 1, 7, 0),
+    (-11, -3, 0, -43, 0),
+    (-5, -1, 0, -3, 0),
+    (18, 2, 0, -44, 0),
+    (2, 0, 0, -2, 0),
+    (0, 2, 0, -2, 0),
+    (0, 0, 0, 10, 1),
+    (0, 0, 0, -1, 0),
+)
+CYCLING_TARGET = (0, 0, 1, 1000, 0)
+
+
+class _CountedIterations(tuple):
+    """A generator tuple that counts how often it is iterated.
+
+    ``_phase1`` iterates its generators once per pricing: every Dantzig
+    pricing without a packing, and every Bland pricing.
+    """
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestStallLimit:
+    """Dantzig's rule cycles on this LP; Bland's rule must end the run.
+
+    Every pivot is degenerate until Bland's rule takes over. Dantzig's rule
+    brings column 6 in and then enters columns 0, 1, ..., 5 in turn, over
+    and over: from the seventh pivot on, the bases repeat every six pivots
+    (the first round has the artificial columns of rows 1 and 2 where later
+    rounds have columns 4 and 5). Bland's rule enters column 0 where
+    Dantzig's enters column 5. Taking over after the 37th pivot (stalled =
+    37 > stall_limit), it ends the run in seven pivots; one pivot earlier,
+    it would end it in two.
+    """
+
+    SEPARATOR = (-2, 16, 0, -2, 20)
+
+    def test_dantzig_cycles_until_the_stall_limit(self):
+        trace = []
+        assert dense_phase1(CYCLING_GENERATORS, CYCLING_TARGET, trace=trace) == (
+            self.SEPARATOR,
+            None,
+        )
+        duals = [w for w, _ in trace]
+        assert len(set(duals[7:37])) == 6
+        assert duals[7:31] == duals[13:37]
+        assert [bland for _, bland in trace] == [False] * 37 + [True] * 8
+
+    def test_unpacked_run_switches_after_the_stall_limit(self):
+        assert DEFAULT_STALL_FACTOR * (len(CYCLING_GENERATORS) + len(CYCLING_TARGET) + 5) == 36
+        generators = _CountedIterations(CYCLING_GENERATORS)
+        assert cones._phase1(generators, CYCLING_TARGET) == (self.SEPARATOR, None)
+        # 44 pivots and the final pricing.
+        assert generators.iterations == 45
+
+    def test_packed_run_switches_after_the_stall_limit(self, fresh_memo):
+        generators = _CountedIterations(CYCLING_GENERATORS)
+        packed = cones._Packed(CYCLING_GENERATORS, len(CYCLING_TARGET))
+        assert cones._phase1(generators, CYCLING_TARGET, packed) == (self.SEPARATOR, None)
+        # Dantzig's rule prices packed; Bland's makes 7 pivots and the final pricing.
+        assert generators.iterations == 8
+        cone = Cone(CYCLING_GENERATORS)
+        assert not cones.cone_contains(cone, DivisorClass(CYCLING_TARGET))
+        assert cone._separators == [self.SEPARATOR]
+
+
 class TestPacked:
     def test_columns_are_the_shifted_sums(self):
         # Values that fit a signed 64-bit field are written as fields, and

@@ -215,6 +215,14 @@ def _surface(**changes):
     return lambda: SurfaceModel(**kwargs)
 
 
+_CURVE_FIELDS = ("negative_curves", "mori_generators", "effective_generators")
+
+
+def _shared(vector, *fields):
+    """A surface given one tuple as each named field, as dP_k is for k >= 2."""
+    return _surface(**dict.fromkeys(fields, (D([1, 0]), D(vector))))
+
+
 def _fan(rays=((1, 0), (0, 1), (-1, -1)), class_map=((1, 1, 1),), lift_map=((1,), (0,), (0,))):
     return lambda: ToricSurface("p2", rays, class_map, lift_map)
 
@@ -236,6 +244,32 @@ def _fan(rays=((1, 0), (0, 1), (-1, -1)), class_map=((1, 1, 1),), lift_map=((1,)
          "negative_curves: curve [0, 1] has self-intersection 0 >= 0"),
         (_surface(effective_generators=(D([0, 0]),)), SpecValidationError,
          "effective_generators: cone generators must be nonzero"),
+        # A tuple shared by several fields is checked once, and its errors
+        # name the first field that holds it.
+        *[
+            pytest.param(
+                _shared(vector, *fields), SpecValidationError, message,
+                id=f"shared-{vector}-{'-'.join(f.split('_')[0] for f in fields)}",
+            )
+            for vector, fields, message in [
+                ([0, 0], ("negative_curves", "mori_generators"),
+                 "negative_curves: curve [0, 0] has self-intersection 0 >= 0"),
+                ([0, 0], ("negative_curves", "effective_generators"),
+                 "negative_curves: curve [0, 0] has self-intersection 0 >= 0"),
+                ([0, 0], ("mori_generators", "effective_generators"),
+                 "mori_generators: cone generators must be nonzero"),
+                ([0, 0], _CURVE_FIELDS,
+                 "negative_curves: curve [0, 0] has self-intersection 0 >= 0"),
+                ([1, 0, 0], ("mori_generators", "effective_generators"),
+                 "mori_generators: vector [1, 0, 0] has length 3, expected 2"),
+                ([1, 0, 0], _CURVE_FIELDS,
+                 "negative_curves: vector [1, 0, 0] has length 3, expected 2"),
+                ([1, 1], ("negative_curves", "mori_generators"),
+                 "negative_curves: curve [1, 1] has self-intersection 1 >= 0"),
+                ([1, 1], _CURVE_FIELDS,
+                 "negative_curves: curve [1, 1] has self-intersection 1 >= 0"),
+            ]
+        ],
         (_surface(basis_labels=("H",)), SpecValidationError,
          "basis_labels: 1 labels for rank 2"),
         (_fan(rays=((1, 0), (0, 1))), ValueError,
@@ -274,6 +308,24 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = (
         "import sys, surfcoh.cli; "
         "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == ""
+
+
+def test_package_and_cli_imports_load_no_json():
+    # json is imported where a spec file is read or JSON is written.
+    code = (
+        "import sys, surfcoh, surfcoh.cli; "
+        "print(' '.join(m for m in sys.modules if m == 'json' or m.startswith('json.')))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
