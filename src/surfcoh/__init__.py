@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .catalog import (
     MINUS_ONE_CURVE_COUNTS,
-    SurfaceSpec,
     catalog_surface,
     enumerate_minus_one_curves,
     fixture_path,
@@ -21,6 +20,7 @@ from .catalog import (
     load_surface,
     make_del_pezzo,
     make_hirzebruch,
+    read_spec,
     signature,
 )
 from .cohomology import (
@@ -91,7 +91,6 @@ __all__ = [
     "Regime",
     "SpecValidationError",
     "SurfaceModel",
-    "SurfaceSpec",
     "ToricSurface",
     "TransformStep",
     "TransformTrace",
@@ -121,6 +120,7 @@ __all__ = [
     "oracle_h0",
     "polytope_from_ray_coefficients",
     "polytope_of_divisor",
+    "read_spec",
     "serre_dual",
     "signature",
     "toric_model",

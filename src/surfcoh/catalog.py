@@ -1,22 +1,22 @@
 """Builders for the shipped surface families and spec-file loading.
 
 Catalog surfaces are Hirzebruch surfaces F_n and del Pezzo surfaces dP_k
-for k = 0..8; arbitrary surfaces can be described by a JSON spec file with
-the SurfaceSpec fields as keys. Effectiveness data for custom surfaces is
-taken on trust: the library cannot verify irreducibility or completeness
-of a user-supplied curve list from lattice data alone.
+for k = 0..8; arbitrary surfaces can be described by a JSON spec file that
+read_spec reads and load_surface builds. Effectiveness data for custom
+surfaces is taken on trust: the library cannot verify irreducibility or
+completeness of a user-supplied curve list from lattice data alone.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from pathlib import Path
 
 from .errors import SpecValidationError, UnknownSurfaceError
-from .lattice import DivisorClass, IntersectionForm, Regime, SurfaceModel, _Frozen
+from .lattice import DivisorClass, IntersectionForm, Regime, SurfaceModel
 
 _SPEC_FIELDS = (
     "name",
@@ -34,94 +34,10 @@ _SPEC_FIELDS = (
 MINUS_ONE_CURVE_COUNTS = (0, 1, 3, 6, 10, 16, 27, 56, 240)
 
 
-class SurfaceSpec(_Frozen):
-    """Serializable description of a surface, mirroring the JSON schema."""
-
-    __match_args__ = _SPEC_FIELDS
-
-    name: str
-    rank: int
-    intersection_matrix: tuple[tuple[int, ...], ...]
-    canonical_class: tuple[int, ...]
-    chi_structure_sheaf: int
-    negative_curves: tuple[tuple[int, ...], ...]
-    mori_generators: tuple[tuple[int, ...], ...]
-    effective_generators: tuple[tuple[int, ...], ...]
-    regime: str
-
-    def __init__(
-        self,
-        name: str,
-        rank: int,
-        intersection_matrix: tuple[tuple[int, ...], ...],
-        canonical_class: tuple[int, ...],
-        chi_structure_sheaf: int,
-        negative_curves: tuple[tuple[int, ...], ...],
-        mori_generators: tuple[tuple[int, ...], ...],
-        effective_generators: tuple[tuple[int, ...], ...],
-        regime: str,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "intersection_matrix", intersection_matrix)
-        object.__setattr__(self, "canonical_class", canonical_class)
-        object.__setattr__(self, "chi_structure_sheaf", chi_structure_sheaf)
-        object.__setattr__(self, "negative_curves", negative_curves)
-        object.__setattr__(self, "mori_generators", mori_generators)
-        object.__setattr__(self, "effective_generators", effective_generators)
-        object.__setattr__(self, "regime", regime)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SurfaceSpec":
-        missing = [k for k in _SPEC_FIELDS if k not in data]
-        if missing:
-            raise SpecValidationError(missing[0], "required field is missing")
-        stray = [k for k in data if k not in _SPEC_FIELDS]
-        if stray:
-            raise SpecValidationError(stray[0], "unknown field in surface spec")
-        return cls(
-            name=str(data["name"]),
-            rank=data["rank"],
-            intersection_matrix=_int_matrix(data["intersection_matrix"], "intersection_matrix"),
-            canonical_class=_int_vector(data["canonical_class"], "canonical_class"),
-            chi_structure_sheaf=_int_scalar(data["chi_structure_sheaf"], "chi_structure_sheaf"),
-            negative_curves=_int_matrix(data["negative_curves"], "negative_curves"),
-            mori_generators=_int_matrix(data["mori_generators"], "mori_generators"),
-            effective_generators=_int_matrix(data["effective_generators"], "effective_generators"),
-            regime=str(data["regime"]),
-        )
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "SurfaceSpec":
-        import json  # here, not at module level: a catalog surface never reads JSON
-
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise SpecValidationError("document", f"spec file is not UTF-8: {exc}") from None
-        if not isinstance(data, dict):
-            raise SpecValidationError("document", "spec file must hold a JSON object")
-        return cls.from_dict(data)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "rank": self.rank,
-            "intersection_matrix": [list(r) for r in self.intersection_matrix],
-            "canonical_class": list(self.canonical_class),
-            "chi_structure_sheaf": self.chi_structure_sheaf,
-            "negative_curves": [list(v) for v in self.negative_curves],
-            "mori_generators": [list(v) for v in self.mori_generators],
-            "effective_generators": [list(v) for v in self.effective_generators],
-            "regime": self.regime,
-        }
-
-
 def _int_scalar(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecValidationError(field, f"expected an integer, got {value!r}")
-    return value
+    return operator.index(value)
 
 def _int_vector(value, field: str) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
@@ -144,8 +60,32 @@ def _integer(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
-def load_surface(spec: SurfaceSpec) -> SurfaceModel:
-    """Validate a SurfaceSpec and build the corresponding SurfaceModel.
+def read_spec(path: str | Path) -> dict:
+    """The JSON object of a surface spec file, for ``load_surface``.
+
+    A file that is not UTF-8, or that holds JSON other than an object,
+    raises SpecValidationError on the field ``document``; a file that is not
+    JSON raises json.JSONDecodeError.
+    """
+    import json  # here, not at module level: a catalog surface never reads JSON
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise SpecValidationError("document", f"spec file is not UTF-8: {exc}") from None
+    if not isinstance(data, dict):
+        raise SpecValidationError("document", "spec file must hold a JSON object")
+    return data
+
+
+def load_surface(spec: Mapping) -> SurfaceModel:
+    """Validate a surface spec and build the corresponding SurfaceModel.
+
+    spec maps exactly the keys of ``_SPEC_FIELDS`` to JSON values, as
+    ``read_spec`` returns them; a fault raises SpecValidationError naming
+    its field. Name and regime must be strings, every other entry an
+    integer (not bool) or a list of them.
 
     The model checks symmetry of the pairing, lengths of all vectors and
     negativity of every listed curve; this adds evenness of d.(d - K) on
@@ -154,20 +94,36 @@ def load_surface(spec: SurfaceSpec) -> SurfaceModel:
     M_ii - (M.K)_i must be even. It also checks the Hodge index theorem:
     the pairing must have signature (1, rank - 1).
     """
+    missing = [k for k in _SPEC_FIELDS if k not in spec]
+    if missing:
+        raise SpecValidationError(missing[0], "required field is missing")
+    stray = [k for k in spec if k not in _SPEC_FIELDS]
+    if stray:
+        raise SpecValidationError(stray[0], "unknown field in surface spec")
+    for key in ("name", "regime"):
+        if not isinstance(spec[key], str):
+            raise SpecValidationError(key, f"expected a string, got {spec[key]!r}")
+    matrix = _int_matrix(spec["intersection_matrix"], "intersection_matrix")
+    canonical = DivisorClass._of_ints(_int_vector(spec["canonical_class"], "canonical_class"))
+    chi = _int_scalar(spec["chi_structure_sheaf"], "chi_structure_sheaf")
+    curves, mori, effective = [
+        tuple(map(DivisorClass._of_ints, _int_matrix(spec[key], key)))
+        for key in ("negative_curves", "mori_generators", "effective_generators")
+    ]
     try:
-        regime = Regime(spec.regime)
+        regime = Regime(spec["regime"])
     except ValueError:
         valid = ", ".join(r.value for r in Regime)
-        raise SpecValidationError("regime", f"{spec.regime!r} is not one of: {valid}") from None
+        raise SpecValidationError("regime", f"{spec['regime']!r} is not one of: {valid}") from None
     surface = SurfaceModel(
-        name=spec.name,
-        rank=_int_scalar(spec.rank, "rank"),
-        form=IntersectionForm(spec.intersection_matrix),
-        canonical_class=DivisorClass(spec.canonical_class),
-        chi_structure_sheaf=spec.chi_structure_sheaf,
-        negative_curves=tuple(DivisorClass(v) for v in spec.negative_curves),
-        mori_generators=tuple(DivisorClass(v) for v in spec.mori_generators),
-        effective_generators=tuple(DivisorClass(v) for v in spec.effective_generators),
+        name=spec["name"],
+        rank=_int_scalar(spec["rank"], "rank"),
+        form=IntersectionForm(matrix),
+        canonical_class=canonical,
+        chi_structure_sheaf=chi,
+        negative_curves=curves,
+        mori_generators=mori,
+        effective_generators=effective,
         regime=regime,
     )
     rank, form = surface.rank, surface.form
@@ -397,7 +353,7 @@ def catalog_surface(name: str) -> SurfaceModel:
     if match:
         return make_hirzebruch(int(match.group(1)))
     if key == "gdp2":
-        return load_surface(SurfaceSpec.from_file(fixture_path("gdp2")))
+        return load_surface(read_spec(fixture_path("gdp2")))
     raise UnknownSurfaceError(
         f"unknown surface {name!r}; valid catalog names are dp0..dp8, "
         f"f0, f1, ... (any fN), and gdp2, or pass a spec-file path"

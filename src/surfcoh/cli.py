@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .catalog import SurfaceSpec, catalog_surface, load_surface
+from .catalog import catalog_surface, load_surface, read_spec
 from .cohomology import cohomology
 from .errors import (
     ConsistencyError,
@@ -44,7 +44,7 @@ def _resolve_surface(arg: str) -> SurfaceModel:
     if path.suffix == ".json" or path.exists():
         if not path.exists():
             raise CliError(f"spec file {arg!r} does not exist")
-        return load_surface(SurfaceSpec.from_file(path))
+        return load_surface(read_spec(path))
     return catalog_surface(arg)
 
 
@@ -190,7 +190,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         d = DivisorClass(coeffs)
         total += 1
         result = cohomology(surface, d)
-        # The h0 branch sets the trace exactly when the class is effective.
+        # The h0 branch sets a trace exactly when the class has a section;
+        # a class of the effective cone without one counts as not effective.
         if result.trace is not None:
             effective += 1
         pipeline = result.h0

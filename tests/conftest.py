@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
+from operator import mul
 
 from hypothesis import HealthCheck, settings
 
@@ -13,11 +14,11 @@ from surfcoh import (
     IntersectionForm,
     Regime,
     SurfaceModel,
-    SurfaceSpec,
     fixture_path,
     load_surface,
     make_del_pezzo,
     make_hirzebruch,
+    read_spec,
 )
 from surfcoh import toric as toric_module
 
@@ -35,7 +36,7 @@ HIRZEBRUCH_RANGE = range(5)
 
 @lru_cache(maxsize=None)
 def gdp2_surface() -> SurfaceModel:
-    return load_surface(SurfaceSpec.from_file(fixture_path("gdp2")))
+    return load_surface(read_spec(fixture_path("gdp2")))
 
 
 @lru_cache(maxsize=None)
@@ -152,23 +153,43 @@ def ray_degrees(toric) -> list[int]:
     return degrees
 
 
-def fan_surface(toric, regime: Regime) -> SurfaceModel:
-    """The Picard model a blow-up of the plane reads off its fan.
+def fan_form(toric) -> list[list[int]]:
+    """The intersection form in the basis of class_map, read off the fan.
 
-    The basis is H and the total transforms E_1, ..., E_k, so the form is
-    diag(1, -1, ..., -1). K = -sum D_i; the negative curves are the D_i with
-    a_i > 0 (every negative curve of a toric surface is torus-invariant), and
-    the D_i generate both the Mori cone and the effective cone.
+    Ray divisors meet as G: D_i^2 = -a_i, D_i.D_j = 1 for adjacent rays and
+    0 otherwise. Principal divisors meet every class in 0, so the lift L
+    (lift_map) of the basis pairs as L^T G L.
     """
+    n = len(toric.rays)
+    g = [[0] * n for _ in range(n)]
+    for i, a in enumerate(ray_degrees(toric)):
+        g[i][i] = -a
+        g[i][(i + 1) % n] = g[(i + 1) % n][i] = 1
+    lift = toric.lift_map
     rank = toric.rank
+    return [
+        [
+            sum(lift[r][k] * g[r][s] * lift[s][l] for r in range(n) for s in range(n))
+            for l in range(rank)
+        ]
+        for k in range(rank)
+    ]
+
+
+def fan_surface(toric, regime: Regime) -> SurfaceModel:
+    """The Picard model a smooth complete toric surface reads off its fan.
+
+    The basis is that of class_map, and the form is ``fan_form``. K = -sum
+    D_i; the negative curves are the D_i with a_i > 0 (every negative curve
+    of a toric surface is torus-invariant), and the D_i generate both the
+    Mori cone and the effective cone.
+    """
     classes = ray_classes(toric)
     return SurfaceModel(
         name=toric.name,
-        rank=rank,
-        form=IntersectionForm(
-            [[(1 if i == 0 else -1) if i == j else 0 for j in range(rank)] for i in range(rank)]
-        ),
-        canonical_class=-sum(classes, DivisorClass.zero(rank)),
+        rank=toric.rank,
+        form=IntersectionForm(fan_form(toric)),
+        canonical_class=-sum(classes, DivisorClass.zero(toric.rank)),
         chi_structure_sheaf=1,
         negative_curves=tuple(c for c, a in zip(classes, ray_degrees(toric)) if a > 0),
         mori_generators=tuple(classes),
@@ -205,3 +226,99 @@ def corrupt_f2_spec(tmp_path):
     path = tmp_path / "f2_corrupt.json"
     path.write_text(json.dumps(data))
     return path
+
+
+_NO_SECTION = {
+    "status": "uncertified",
+    "rule": "none",
+    "detail": "class has no section; h0 = 0 unconditionally",
+}
+
+
+def _dual(matrix, v) -> list[int]:
+    return [sum(map(mul, row, v)) for row in matrix]
+
+
+@lru_cache(maxsize=None)
+def _report_duals(surface: SurfaceModel):
+    """(C, M.C, -C^2) per negative curve, and M.g for every curve and Mori generator."""
+    matrix = surface.form.matrix
+    curves = []
+    for c in surface.negative_curves:
+        c_dual = _dual(matrix, c)
+        curves.append((list(c), c_dual, -sum(map(mul, c, c_dual))))
+    return curves, [g for _, g, _ in curves] + [_dual(matrix, g) for g in surface.mori_generators]
+
+
+def check_report(surface: SurfaceModel, d: DivisorClass, payload: dict) -> None:
+    """Check a `cohomology` JSON payload for d against the surface data alone.
+
+    Pairings come from the form's matrix; nothing of the transform or the
+    certificates is called. Each step's fixed part must be the negative
+    curves that meet the class negatively, in curve order, each with
+    multiplicity ceil(-D.C / -C^2), and the limit L must be nef against the
+    curves and the Mori generators. The rule must fit the regime: Demazure
+    on a toric surface, Kawamata-Viehweg on a del Pezzo surface, and
+    elsewhere Kawamata-Viehweg exactly when L - K is nef with
+    (L - K)^2 > 0, the square that its detail prints. h0 is chi(L) when
+    certified and null when not; with no trace, h0 = 0 and the detail says
+    there is no section. h1 = h0 + h2 - chi when all three are known, else
+    null.
+    """
+    matrix = surface.form.matrix
+    curves, nef_duals = _report_duals(surface)
+    k = list(surface.canonical_class)
+
+    def dot(u, dual_v):
+        return sum(map(mul, u, dual_v))
+
+    def nef(v):
+        return all(dot(v, g) >= 0 for g in nef_duals)
+
+    def minus_k(v):
+        return [a - b for a, b in zip(v, k)]
+
+    def chi_of(v):
+        return surface.chi_structure_sheaf + dot(v, _dual(matrix, minus_k(v))) // 2
+
+    chi = chi_of(list(d))
+    h0, h1, h2 = payload["h0"], payload["h1"], payload["h2"]
+    certificate, trace = payload["certificate"], payload["trace"]
+    assert payload["chi"] == chi
+    if trace is None:
+        assert h0 == 0 and certificate == _NO_SECTION
+    else:
+        assert trace["input"] == list(d)
+        current = list(d)
+        for step in trace["steps"]:
+            expected = [
+                {"curve": curve, "multiplicity": -(dot(current, curve_dual) // minus_square)}
+                for curve, curve_dual, minus_square in curves
+                if dot(current, curve_dual) < 0
+            ]
+            assert expected and step["fixed_part"] == expected
+            for term in expected:
+                current = [a - term["multiplicity"] * c for a, c in zip(current, term["curve"])]
+            assert step["result"] == current
+        assert trace["limit"] == current and trace["step_count"] == len(trace["steps"])
+        assert nef(current)
+        rule = certificate["rule"]
+        if surface.regime is Regime.TORIC_CONVEX_FAN:
+            assert rule == "demazure"
+        elif surface.regime is Regime.DEL_PEZZO:
+            assert rule == "kawamata_viehweg"
+        else:
+            shifted = minus_k(current)
+            square = dot(shifted, _dual(matrix, shifted))
+            if rule == "kawamata_viehweg":
+                assert nef(shifted) and square > 0
+                assert certificate["detail"] == f"d - K is nef with (d - K)^2 = {square} > 0"
+            else:
+                assert rule == "none" and not (nef(shifted) and square > 0)
+        certified = rule != "none"
+        assert certificate["status"] == ("certified" if certified else "uncertified")
+        assert h0 == (chi_of(current) if certified else None)
+    if None in (h0, h2):
+        assert h1 is None
+    else:
+        assert h1 == h0 + h2 - chi

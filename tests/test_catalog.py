@@ -17,7 +17,6 @@ from surfcoh import (
     RankMismatchError,
     Regime,
     SpecValidationError,
-    SurfaceSpec,
     UnknownSurfaceError,
     catalog_surface,
     cone_contains,
@@ -28,6 +27,7 @@ from surfcoh import (
     load_surface,
     make_del_pezzo,
     make_hirzebruch,
+    read_spec,
     signature,
 )
 
@@ -277,64 +277,100 @@ class TestLoadSurface:
         data = self.gdp2_dict()
         data["intersection_matrix"][0][1] = 5
         with pytest.raises(SpecValidationError) as err:
-            load_surface(SurfaceSpec.from_dict(data))
+            load_surface(data)
         assert err.value.field == "intersection_matrix"
 
     def test_non_negative_curve_named(self):
         data = self.gdp2_dict()
         data["negative_curves"].append([1, 0, 0])
         with pytest.raises(SpecValidationError) as err:
-            load_surface(SurfaceSpec.from_dict(data))
+            load_surface(data)
         assert err.value.field == "negative_curves"
 
     def test_malformed_json_raises_a_decode_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"name": ', encoding="utf-8")
         with pytest.raises(json.JSONDecodeError):
-            SurfaceSpec.from_file(path)
+            read_spec(path)
 
     def test_missing_field_named(self):
         data = self.gdp2_dict()
         del data["canonical_class"]
         with pytest.raises(SpecValidationError) as err:
-            SurfaceSpec.from_dict(data)
+            load_surface(data)
         assert err.value.field == "canonical_class"
 
     def test_stray_field_rejected(self):
         data = self.gdp2_dict()
         data["extra"] = 1
         with pytest.raises(SpecValidationError):
-            SurfaceSpec.from_dict(data)
+            load_surface(data)
 
     def test_wrong_vector_length_named(self):
         data = self.gdp2_dict()
         data["mori_generators"][0] = [1, 0]
         with pytest.raises(SpecValidationError) as err:
-            load_surface(SurfaceSpec.from_dict(data))
+            load_surface(data)
         assert err.value.field == "mori_generators"
 
     def test_parity_violation_named(self):
         data = self.gdp2_dict()
         data["canonical_class"] = [-2, 1, 1]
         with pytest.raises(SpecValidationError) as err:
-            load_surface(SurfaceSpec.from_dict(data))
+            load_surface(data)
         assert err.value.field == "canonical_class"
 
     def test_bad_regime_named(self):
         data = self.gdp2_dict()
         data["regime"] = "banana"
         with pytest.raises(SpecValidationError) as err:
-            load_surface(SurfaceSpec.from_dict(data))
+            load_surface(data)
         assert err.value.field == "regime"
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"rank": None}, "rank: expected an integer, got None"),
+            ({"rank": True}, "rank: expected an integer, got True"),
+            ({"chi_structure_sheaf": 1.0}, "chi_structure_sheaf: expected an integer, got 1.0"),
+            ({"canonical_class": 3}, "canonical_class: expected a list of integers"),
+            ({"canonical_class": [-3, False]}, "canonical_class: expected an integer, got False"),
+            ({"intersection_matrix": [1]}, "intersection_matrix: expected a list of integers"),
+            ({"negative_curves": None}, "negative_curves: expected a list of integer vectors"),
+            ({"mori_generators": [[0, 0, "1"]]}, "mori_generators: expected an integer, got '1'"),
+            (
+                {"effective_generators": [[0, 0, 0]]},
+                "effective_generators: cone generators must be nonzero",
+            ),
+            ({"rank": 2}, "intersection_matrix: matrix is 3x3 but rank is 2"),
+        ],
+    )
+    def test_one_fault_message(self, fault, message):
+        # Each fault is reported with the field it names and a fixed message.
+        data = self.gdp2_dict()
+        data.update(fault)
+        with pytest.raises(SpecValidationError) as err:
+            load_surface(data)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("field", ["name", "regime"])
+    @pytest.mark.parametrize("value", [None, 3, [1]], ids=["null", "number", "list"])
+    def test_name_and_regime_must_be_strings(self, field, value):
+        data = self.gdp2_dict()
+        data[field] = value
+        with pytest.raises(SpecValidationError) as err:
+            load_surface(data)
+        assert err.value.field == field
+        assert str(err.value) == f"{field}: expected a string, got {value!r}"
 
     def test_float_vector_rejected(self):
         data = self.gdp2_dict()
         data["canonical_class"] = [-3.0, 1, 1]
         with pytest.raises(SpecValidationError):
-            SurfaceSpec.from_dict(data)
+            load_surface(data)
 
     def test_strict_accepts_gdp2(self):
-        s = load_surface(SurfaceSpec.from_dict(self.gdp2_dict()))
+        s = load_surface(self.gdp2_dict())
         assert s.name == "gdp2"
 
     def test_strict_rejects_wrong_signature(self):
@@ -350,7 +386,7 @@ class TestLoadSurface:
             "regime": "general",
         }
         with pytest.raises(SpecValidationError) as err:
-            load_surface(SurfaceSpec.from_dict(data))
+            load_surface(data)
         assert err.value.field == "intersection_matrix"
 
     @pytest.mark.parametrize(
@@ -371,7 +407,7 @@ class TestLoadSurface:
             "regime": "general",
         }
         with pytest.raises(SpecValidationError, match="signature") as err:
-            load_surface(SurfaceSpec.from_dict(data))
+            load_surface(data)
         assert err.value.field == "intersection_matrix"
 
 
@@ -389,19 +425,18 @@ def surface_fields(surface):
 
 def round_trip(surface):
     """The surface's spec, through JSON and back to a loaded model."""
-    spec = SurfaceSpec(
-        name=surface.name,
-        rank=surface.rank,
-        intersection_matrix=surface.form.matrix,
-        canonical_class=surface.canonical_class.coefficients,
-        chi_structure_sheaf=surface.chi_structure_sheaf,
-        negative_curves=tuple(c.coefficients for c in surface.negative_curves),
-        mori_generators=tuple(g.coefficients for g in surface.mori_generators),
-        effective_generators=tuple(g.coefficients for g in surface.effective_generators),
-        regime=surface.regime.value,
-    )
-    data = json.loads(json.dumps(spec.to_dict()))
-    return load_surface(SurfaceSpec.from_dict(data))
+    spec = {
+        "name": surface.name,
+        "rank": surface.rank,
+        "intersection_matrix": [list(row) for row in surface.form.matrix],
+        "canonical_class": list(surface.canonical_class),
+        "chi_structure_sheaf": surface.chi_structure_sheaf,
+        "negative_curves": [list(c) for c in surface.negative_curves],
+        "mori_generators": [list(g) for g in surface.mori_generators],
+        "effective_generators": [list(g) for g in surface.effective_generators],
+        "regime": surface.regime.value,
+    }
+    return load_surface(json.loads(json.dumps(spec)))
 
 
 class TestFixtures:
@@ -421,7 +456,7 @@ class TestFixtures:
         assert surface_fields(round_trip(built)) == surface_fields(built)
 
     def test_shipped_f2_matches_constructor(self):
-        loaded = load_surface(SurfaceSpec.from_file(fixture_path("f2")))
+        loaded = load_surface(read_spec(fixture_path("f2")))
         assert surface_fields(loaded) == surface_fields(make_hirzebruch(2))
 
     def test_unknown_fixture(self):

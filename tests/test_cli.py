@@ -10,14 +10,31 @@ import sys
 import pytest
 
 import surfcoh.transform
+from conftest import check_report
 from surfcoh import (
     MINUS_ONE_CURVE_COUNTS,
     ORACLE_NAMES,
+    DivisorClass,
+    catalog_surface,
     fixture_path,
     is_effective,
+    load_surface,
     make_del_pezzo,
 )
 from surfcoh.cli import main
+
+
+K3_SLICE_SPEC = {
+    "name": "k3_slice",
+    "rank": 2,
+    "intersection_matrix": [[0, 1], [1, 0]],
+    "canonical_class": [0, 0],
+    "chi_structure_sheaf": 2,
+    "negative_curves": [],
+    "mori_generators": [[1, 0], [0, 1]],
+    "effective_generators": [[1, 0], [0, 1]],
+    "regime": "trivial_canonical",
+}
 
 
 def run_cli(capsys, *argv):
@@ -45,22 +62,29 @@ class TestCohomologyCommand:
     def test_unknown_h_values_render(self, capsys, tmp_path):
         # A trivial-canonical surface with a square-zero nef class: no
         # certificate applies, so h0 and h1 print as unknown.
-        spec = {
-            "name": "k3_slice",
-            "rank": 2,
-            "intersection_matrix": [[0, 1], [1, 0]],
-            "canonical_class": [0, 0],
-            "chi_structure_sheaf": 2,
-            "negative_curves": [],
-            "mori_generators": [[1, 0], [0, 1]],
-            "effective_generators": [[1, 0], [0, 1]],
-            "regime": "trivial_canonical",
-        }
         path = tmp_path / "k3_slice.json"
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(K3_SLICE_SPEC))
         code, out, _ = run_cli(capsys, "cohomology", "--surface", str(path), "--class", "1,0")
         assert code == 0
         assert "h0=unknown h1=unknown h2=0 chi=2, certificate none" in out
+
+    @pytest.mark.parametrize(
+        "surface, coeffs",
+        [("dp1", "2,1"), ("dp1", "-1,0"), ("k3_slice", "1,0"), ("gdp2", "2,2,0")],
+    )
+    def test_json_reports_check_out(self, capsys, tmp_path, surface, coeffs):
+        # The cohomology runs of this file, in JSON, against check_report.
+        if surface == "k3_slice":
+            path = tmp_path / "k3_slice.json"
+            path.write_text(json.dumps(K3_SLICE_SPEC))
+            model, surface = load_surface(K3_SLICE_SPEC), str(path)
+        else:
+            model = catalog_surface(surface)
+        code, out, _ = run_cli(
+            capsys, "cohomology", "--surface", surface, "--class", coeffs, "--format", "json"
+        )
+        assert code == 0
+        check_report(model, DivisorClass(int(c) for c in coeffs.split(",")), json.loads(out))
 
     def test_rank_mismatch_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "cohomology", "--surface", "dp1", "--class", "2,1,0")
@@ -282,6 +306,22 @@ class TestStrictValidation:
         assert code == 1
         assert out == ""
         assert err.startswith("error: intersection_matrix: ")
+
+    @pytest.mark.parametrize(
+        "fault, line",
+        [
+            ({"extra": 1}, "error: extra: unknown field in surface spec"),
+            ({"name": None}, "error: name: expected a string, got None"),
+        ],
+        ids=["stray-key", "null-name"],
+    )
+    def test_one_fault_spec_file(self, capsys, tmp_path, fault, line):
+        data = json.loads(fixture_path("gdp2").read_text())
+        data.update(fault)
+        path = tmp_path / "fault.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "catalog", "--surface", str(path))
+        assert (code, out, err) == (1, "", line + "\n")
 
 
 class TestEntryPoint:

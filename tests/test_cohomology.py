@@ -6,7 +6,15 @@ import itertools
 
 import pytest
 
-from conftest import box_classes, gdp2_surface, k3_like_surface, sampled_effective_classes
+from conftest import (
+    SAMPLED_DEL_PEZZO,
+    box_classes,
+    check_report,
+    del_pezzo_acceptance_sample,
+    gdp2_surface,
+    k3_like_surface,
+    sampled_effective_classes,
+)
 from surfcoh import (
     CertificateRule,
     ConsistencyError,
@@ -252,3 +260,53 @@ class TestPipelineIdentities:
             assert result.h0 == del_pezzo_h0(surface, d)
             assert result.h0 == euler_characteristic(surface, iterate_to_nef(surface, d).limit)
             assert result.h1 is not None and result.h1 >= 0
+
+
+class TestReportChecker:
+    """check_report against the acceptance samples, gdp2 and tampered payloads."""
+
+    @pytest.mark.parametrize("k", sorted(SAMPLED_DEL_PEZZO))
+    def test_del_pezzo_acceptance_samples(self, k):
+        surface = make_del_pezzo(k)
+        effective, box = del_pezzo_acceptance_sample(k)
+        for d in effective + box:
+            check_report(surface, d, cohomology(surface, d).to_json())
+
+    def test_gdp2_box(self):
+        surface = gdp2_surface()
+        rules = set()
+        for d in box_classes(3, -4, 4):
+            payload = cohomology(surface, d).to_json()
+            check_report(surface, d, payload)
+            rules.add(payload["certificate"]["rule"])
+        assert rules == {"kawamata_viehweg", "none"}
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            pytest.param(lambda p: p.update(h0=p["h0"] + 1), id="h0"),
+            pytest.param(lambda p: p.update(h1=p["h1"] + 1), id="h1"),
+            pytest.param(lambda p: p.update(chi=p["chi"] - 1), id="chi"),
+            pytest.param(
+                lambda p: p["trace"]["steps"][0]["fixed_part"][0].update(multiplicity=2),
+                id="multiplicity",
+            ),
+            pytest.param(lambda p: p["trace"]["steps"].reverse(), id="step-order"),
+            pytest.param(lambda p: p["trace"].update(limit=[2, 1, 0]), id="limit"),
+            pytest.param(
+                lambda p: p["certificate"].update(rule="none", status="uncertified"), id="rule"
+            ),
+            pytest.param(
+                lambda p: p["certificate"].update(detail="d - K is nef with (d - K)^2 = 5 > 0"),
+                id="square",
+            ),
+        ],
+    )
+    def test_tampered_payload_fails(self, tamper):
+        # gdp2 (2, 2, 0) takes four steps to (2, 0, 0) under Kawamata-Viehweg.
+        surface, d = gdp2_surface(), D([2, 2, 0])
+        payload = cohomology(surface, d).to_json()
+        check_report(surface, d, payload)
+        tamper(payload)
+        with pytest.raises(AssertionError):
+            check_report(surface, d, payload)

@@ -28,12 +28,12 @@ from conftest import gdp2_surface, sampled_box_classes, sampled_effective_classe
 from surfcoh import (
     Cone,
     DivisorClass,
-    SurfaceSpec,
     fixture_path,
     list_fixtures,
     load_surface,
     make_del_pezzo,
     make_hirzebruch,
+    read_spec,
 )
 from surfcoh import cones, transform
 
@@ -574,7 +574,7 @@ class TestAgainstDenseTableau:
         surfaces = [make_del_pezzo(k) for k in range(9)]
         surfaces += [make_hirzebruch(n) for n in range(9)]
         surfaces += [
-            load_surface(SurfaceSpec.from_file(fixture_path(name))) for name in list_fixtures()
+            load_surface(read_spec(fixture_path(name))) for name in list_fixtures()
         ]
         problems = []
         inner = transform._phase1

@@ -43,7 +43,6 @@ from surfcoh import (
     NotNefError,
     Regime,
     SurfaceModel,
-    SurfaceSpec,
     certify_vanishing,
     cone_contains,
     fixture_path,
@@ -349,7 +348,7 @@ class TestMoriGeneratorsBeyondCurves:
         # still a Mori generator, so the limit check must fail loudly.
         data = json.loads(fixture_path("gdp2").read_text())
         data["negative_curves"].remove([0, 1, -1])
-        surface = load_surface(SurfaceSpec.from_dict(data))
+        surface = load_surface(data)
         d = D([0, 1, -1])
         assert is_effective(surface, d)
         with pytest.raises(ConsistencyError):

@@ -1,6 +1,6 @@
 """The immutable records: construction, equality, hash, repr, copying, imports.
 
-The nine public records are plain classes over one private base, not
+The eight public records are plain classes over one private base, not
 dataclasses, so that ``import surfcoh.cli`` loads neither ``dataclasses``
 nor ``inspect``. These tests pin the behaviour the records had as frozen
 dataclasses: the constructor signature and its defaults, the validation
@@ -30,7 +30,6 @@ from surfcoh import (
     Regime,
     SpecValidationError,
     SurfaceModel,
-    SurfaceSpec,
     ToricSurface,
     TransformStep,
     TransformTrace,
@@ -83,35 +82,6 @@ RECORDS = [
         "mori_generators=(DivisorClass([1, 0]), DivisorClass([0, 1])), "
         "effective_generators=(DivisorClass([1, 0]), DivisorClass([0, 1])), "
         "regime=<Regime.TORIC_CONVEX_FAN: 'toric_convex_fan'>, basis_labels=('C0', 'f'))",
-    ),
-    (
-        SurfaceSpec,
-        (
-            "name",
-            "rank",
-            "intersection_matrix",
-            "canonical_class",
-            "chi_structure_sheaf",
-            "negative_curves",
-            "mori_generators",
-            "effective_generators",
-            "regime",
-        ),
-        (
-            "f1",
-            2,
-            ((-1, 1), (1, 0)),
-            (-2, -3),
-            1,
-            ((1, 0),),
-            ((1, 0), (0, 1)),
-            ((1, 0), (0, 1)),
-            "toric_convex_fan",
-        ),
-        "SurfaceSpec(name='f1', rank=2, intersection_matrix=((-1, 1), (1, 0)), "
-        "canonical_class=(-2, -3), chi_structure_sheaf=1, negative_curves=((1, 0),), "
-        "mori_generators=((1, 0), (0, 1)), effective_generators=((1, 0), (0, 1)), "
-        "regime='toric_convex_fan')",
     ),
     (
         FixedPart,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import reduce
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     box_classes,
+    check_report,
+    fan_form,
     fan_surface,
     ray_classes,
     ray_degrees,
@@ -36,6 +39,7 @@ from surfcoh import (
     is_effective,
     is_nef,
     iterate_to_nef,
+    make_hirzebruch,
     oracle_h0,
     polytope_from_ray_coefficients,
     polytope_of_divisor,
@@ -48,13 +52,27 @@ D = DivisorClass
 MODEL_NAMES = ORACLE_NAMES
 
 
+def _blown_up(draw, toric, times):
+    for _ in range(times):
+        toric = toric_module._blow_up(toric, draw(st.integers(0, len(toric.rays) - 1)))
+    return toric
+
+
 @st.composite
 def blown_up_planes(draw):
     """The plane blown up 1-4 times at torus-fixed points, so rank <= 5."""
-    toric = toric_module._PLANE
-    for _ in range(draw(st.integers(1, 4))):
-        toric = toric_module._blow_up(toric, draw(st.integers(0, len(toric.rays) - 1)))
-    return toric
+    return _blown_up(draw, toric_module._PLANE, draw(st.integers(1, 4)))
+
+
+@st.composite
+def blown_up_hirzebruch(draw):
+    """F_a, a = 0..4, blown up 0-2 times at torus-fixed points, so rank <= 4.
+
+    With the plane's blow-ups these reach every smooth complete toric
+    surface of rank <= 4.
+    """
+    toric = toric_module._hirzebruch_model(draw(st.integers(0, 4)))
+    return _blown_up(draw, toric, draw(st.integers(0, 2)))
 
 
 def reference_count(p: HalfplaneSet) -> int:
@@ -329,27 +347,62 @@ class TestOracle:
             assert cohomology(surface, d).h0 == oracle_h0(toric, d)
 
 
+def assert_certified_h0_equals_the_count(toric):
+    """Read as a toric surface, Demazure certifies every nef limit. Read as
+    `general`, the same lattice data must certify by Kawamata-Viehweg or
+    answer unknown; an unknown is never counted as a match. The kernel's
+    ample class A meets every ray divisor, and D·A bounds the steps. The
+    general report, whose steps are the toric one's, passes check_report."""
+    as_toric = fan_surface(toric, Regime.TORIC_CONVEX_FAN)
+    as_general = fan_surface(toric, Regime.GENERAL)
+    ample = transform._kernel(as_toric).ample_dual
+    assert all(sum(map(mul, ample, c.coefficients)) >= 1 for c in ray_classes(toric))
+    count = min(200, 9**toric.rank)
+    for d in sampled_box_classes(toric.rank, count, f"blow-ups:{toric.rays}", -4, 4):
+        expected = oracle_h0(toric, d)
+        result = cohomology(as_toric, d)
+        assert result.h0 == expected, d
+        if result.trace is not None:
+            assert result.trace.step_count <= sum(map(mul, ample, d.coefficients)), d
+        general = cohomology(as_general, d)
+        assert general.h0 is None or general.h0 == expected, d
+        check_report(as_general, d, general.to_json())
+
+
 class TestBlowUpSequences:
     @settings(max_examples=40)
     @given(blown_up_planes())
     def test_certified_h0_equals_the_count(self, toric):
-        # Read as a toric surface, Demazure certifies every nef limit. Read as
-        # `general`, the same lattice data must certify by Kawamata-Viehweg or
-        # answer unknown; an unknown is never counted as a match. The kernel's
-        # ample class A meets every ray divisor, and D·A bounds the steps.
-        as_toric = fan_surface(toric, Regime.TORIC_CONVEX_FAN)
-        as_general = fan_surface(toric, Regime.GENERAL)
-        ample = transform._kernel(as_toric).ample_dual
-        assert all(sum(map(mul, ample, c.coefficients)) >= 1 for c in ray_classes(toric))
-        count = min(200, 9**toric.rank)
-        for d in sampled_box_classes(toric.rank, count, f"blow-ups:{toric.rays}", -4, 4):
-            expected = oracle_h0(toric, d)
-            result = cohomology(as_toric, d)
-            assert result.h0 == expected, d
-            if result.trace is not None:
-                assert result.trace.step_count <= sum(map(mul, ample, d.coefficients)), d
-            h0 = cohomology(as_general, d).h0
-            assert h0 is None or h0 == expected, d
+        assert_certified_h0_equals_the_count(toric)
+
+    @settings(max_examples=40)
+    @given(blown_up_hirzebruch())
+    def test_certified_h0_equals_the_count_from_hirzebruch(self, toric):
+        assert_certified_h0_equals_the_count(toric)
+
+    def test_fan_form_of_plane_blow_ups_is_diagonal(self):
+        # The basis H, E_1, ..., E_k of total transforms is orthogonal.
+        models = [toric for toric, _ in seeded_blow_ups()]
+        for steps in itertools.product(range(3), range(4), range(5)):
+            models.append(reduce(toric_module._blow_up, steps, toric_module._PLANE))
+        for toric in models:
+            signs = [1] + [-1] * (toric.rank - 1)
+            diagonal = [
+                [s if i == j else 0 for j in range(len(signs))] for i, s in enumerate(signs)
+            ]
+            assert fan_form(toric) == diagonal, toric.rays
+
+    @pytest.mark.parametrize("a", range(5))
+    def test_fan_form_of_hirzebruch_matches_the_catalog(self, a):
+        # F_a and its blow-ups, in the basis (C0, f, E_1, ...).
+        toric = toric_module._hirzebruch_model(a)
+        catalog = make_hirzebruch(a)
+        surface = fan_surface(toric, Regime.TORIC_CONVEX_FAN)
+        assert (surface.form, surface.canonical_class) == (catalog.form, catalog.canonical_class)
+        assert surface.negative_curves == catalog.negative_curves
+        for i in range(len(toric.rays)):
+            blown_up = fan_form(toric_module._blow_up(toric, i))
+            assert blown_up == [[-a, 1, 0], [1, 0, 0], [0, 0, -1]]
 
     def test_transform_longer_than_a_thousand_steps(self):
         # Six blow-ups at torus-fixed points; h0 needs 1,093 transform steps.
