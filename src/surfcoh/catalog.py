@@ -1,7 +1,8 @@
 """Builders for the shipped surface families and spec-file loading.
 
-Catalog surfaces are Hirzebruch surfaces F_n and del Pezzo surfaces dP_k
-for k = 0..8; arbitrary surfaces can be described by a JSON spec file that
+Catalog surfaces are Hirzebruch surfaces F_n, del Pezzo surfaces dP_k
+for k = 0..8 and the generalized del Pezzo surface gdp2, all built in
+code; arbitrary surfaces can be described by a JSON spec file that
 read_spec reads and load_surface builds. Effectiveness data for custom
 surfaces is taken on trust: the library cannot verify irreducibility or
 completeness of a user-supplied curve list from lattice data alone.
@@ -303,6 +304,31 @@ def make_del_pezzo(k: int) -> SurfaceModel:
     )
 
 
+@lru_cache(maxsize=None)
+def _make_gdp2() -> SurfaceModel:
+    """gdp2: the plane blown up at a point and then at a point of E_1.
+
+    Basis (H, E_1, E_2), printed with the default labels e1..e3. The
+    irreducible negative curves are the (-2)-curve E_1 - E_2, the
+    (-1)-curve E_2 and the line H - E_1 - E_2 through the first point in
+    the direction of the second; they generate the Mori and effective
+    cones. ``data/gdp2.json`` is the same surface as a spec file, and the
+    tests pin the two equal.
+    """
+    curves = (DivisorClass([0, 1, -1]), DivisorClass([0, 0, 1]), DivisorClass([1, -1, -1]))
+    return SurfaceModel(
+        name="gdp2",
+        rank=3,
+        form=IntersectionForm([[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+        canonical_class=DivisorClass([-3, 1, 1]),
+        chi_structure_sheaf=1,
+        negative_curves=curves,
+        mori_generators=curves,
+        effective_generators=curves,
+        regime=Regime.GENERAL,
+    )
+
+
 def hirzebruch_degree(surface: SurfaceModel) -> int | None:
     """The n for which the surface matches F_n structurally, else None."""
     if surface.rank != 2:
@@ -344,7 +370,11 @@ _F_NAME = re.compile(r"^f(\d+)$")
 
 
 def catalog_surface(name: str) -> SurfaceModel:
-    """Resolve a catalog name (dp0..dp8, fN, gdp2) to a SurfaceModel."""
+    """Resolve a catalog name (dp0..dp8, fN, gdp2) to a SurfaceModel.
+
+    dp0..dp8 and gdp2 are cached: each of these names resolves to the same
+    object every time.
+    """
     key = name.strip().lower()
     match = _DP_NAME.match(key)
     if match:
@@ -353,7 +383,7 @@ def catalog_surface(name: str) -> SurfaceModel:
     if match:
         return make_hirzebruch(int(match.group(1)))
     if key == "gdp2":
-        return load_surface(read_spec(fixture_path("gdp2")))
+        return _make_gdp2()
     raise UnknownSurfaceError(
         f"unknown surface {name!r}; valid catalog names are dp0..dp8, "
         f"f0, f1, ... (any fN), and gdp2, or pass a spec-file path"

@@ -459,6 +459,14 @@ class TestFixtures:
         loaded = load_surface(read_spec(fixture_path("f2")))
         assert surface_fields(loaded) == surface_fields(make_hirzebruch(2))
 
+    def test_shipped_gdp2_matches_builtin(self):
+        # Loading runs the parity and Hodge-index checks that the built-in
+        # skips; equality carries them over to it.
+        assert catalog_surface("gdp2") == load_surface(read_spec(fixture_path("gdp2")))
+
+    def test_builtin_gdp2_is_cached(self):
+        assert catalog_surface("gdp2") is catalog_surface(" GDP2 ")
+
     def test_unknown_fixture(self):
         with pytest.raises(UnknownSurfaceError):
             fixture_path("dp11")

@@ -160,6 +160,15 @@ class TestCatalogCommand:
         assert code == 0
         assert json.loads(out)["regime"] == "general"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_builtin_gdp2_prints_as_its_spec_file(self, capsys, fmt):
+        _, spec_out, _ = run_cli(
+            capsys, "catalog", "--surface", str(fixture_path("gdp2")), "--format", fmt
+        )
+        code, out, _ = run_cli(capsys, "catalog", "--surface", "gdp2", "--format", fmt)
+        assert code == 0
+        assert out == spec_out
+
 
 class TestOracleCheckCommand:
     def test_match(self, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from surfcoh import (
     make_hirzebruch,
     serre_dual,
 )
+from surfcoh.lattice import _squares
 
 D = DivisorClass
 
@@ -107,6 +109,45 @@ class TestIntersect:
         d = data.draw(coeff_vectors(surface.rank))
         e = data.draw(coeff_vectors(surface.rank))
         assert intersect(surface, d, e) == intersect(surface, e, d)
+
+
+class TestSquares:
+    """``_squares`` checks curve negativity at load; ``form.pairing`` is its reference."""
+
+    def test_off_diagonal_term_on_f5(self):
+        # On F_5, (C0 + 2f)^2 = -5 + 2 * 2 * 1 = -1: the off-diagonal entry
+        # counts twice, so a curve of this class is negative.
+        f5 = make_hirzebruch(5)
+        d = D([1, 2])
+        assert _squares(f5.form, (d,)) == [f5.form.pairing(d, d)] == [-1]
+        surface = SurfaceModel(
+            name="f5_with_c0_plus_2f",
+            rank=2,
+            form=f5.form,
+            canonical_class=f5.canonical_class,
+            chi_structure_sheaf=1,
+            negative_curves=(d,),
+            mori_generators=f5.mori_generators,
+            effective_generators=f5.effective_generators,
+            regime=Regime.GENERAL,
+        )
+        assert surface.negative_curves == (d,)
+
+    def test_random_symmetric_forms(self):
+        rng = random.Random(20261020)
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            matrix = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    matrix[i][j] = matrix[j][i] = rng.randint(-4, 4)
+            form = IntersectionForm(matrix)
+            classes = []
+            while len(classes) < 5:
+                v = [rng.randint(-5, 5) for _ in range(n)]
+                if sum(1 for x in v if x) >= 2:
+                    classes.append(D(v))
+            assert _squares(form, classes) == [form.pairing(d, d) for d in classes]
 
 
 class TestEulerCharacteristic:

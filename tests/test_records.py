@@ -291,10 +291,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.stdout.strip() == ""
 
 
-def test_package_and_cli_imports_load_no_json():
-    # json is imported where a spec file is read or JSON is written.
+def _json_modules_after(statements: str) -> str:
+    """The json modules loaded by running statements in a fresh ``python -S``."""
     code = (
-        "import sys, surfcoh, surfcoh.cli; "
+        f"import sys; {statements}; "
         "print(' '.join(m for m in sys.modules if m == 'json' or m.startswith('json.')))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -306,7 +306,17 @@ def test_package_and_cli_imports_load_no_json():
         check=True,
         timeout=60,
     )
-    assert out.stdout.strip() == ""
+    return out.stdout.strip()
+
+
+def test_package_and_cli_imports_load_no_json():
+    # json is imported where a spec file is read or JSON is written.
+    assert _json_modules_after("import surfcoh, surfcoh.cli") == ""
+
+
+def test_builtin_gdp2_loads_no_json():
+    # gdp2 is built in code; only a spec-file path reads JSON.
+    assert _json_modules_after("import surfcoh.cli; surfcoh.catalog.catalog_surface('gdp2')") == ""
 
 
 def test_library_imports_neither_dataclasses_nor_typing():
