@@ -151,10 +151,12 @@ def dense_phase1(generators, target, stall_factor=2, trace=None):
 
     The tableau holds every generator column, the artificial columns and the
     right-hand side, all times the basis determinant ``det``, and a pivot
-    rewrites all of it by Bareiss's exact division. When ``trace`` is a
-    list, each pricing appends (w, Bland's rule on), w the dual vector that
-    the revised simplex prices the generators with: w.g is generator g's
-    reduced cost times det.
+    rewrites all of it by Bareiss's exact division. At a feasible end, the
+    artificial columns still basic leave by degenerate pivots, and a
+    negative pivot row is negated first, so that det stays positive. When
+    ``trace`` is a list, each pricing appends (w, Bland's rule on), w the
+    dual vector that the revised simplex prices the generators with: w.g is
+    generator g's reduced cost times det.
     """
     n = len(target)
     m = len(generators)
@@ -198,8 +200,30 @@ def dense_phase1(generators, target, stall_factor=2, trace=None):
             if cost[ncols]:
                 w = tuple([sign * (cost[m + j] - det) for j, sign in enumerate(signs)])
                 return w, None
-            if max(basis) >= m:
-                return None, None
+            # End of phase 1: each artificial column still basic leaves on the
+            # row's first generator entry of ±det, else its first nonzero
+            # one; a row with none means the generators do not span.
+            for j, k in enumerate(basis):
+                if k < m:
+                    continue
+                sizes = [abs(x) for x in tableau[j][:m]]
+                if det in sizes:
+                    q = sizes.index(det)
+                elif any(sizes):
+                    q = next(q for q, size in enumerate(sizes) if size)
+                else:
+                    return None, None
+                if tableau[j][q] < 0:
+                    tableau[j] = [-x for x in tableau[j]]
+                pivot_row = tableau[j]
+                p = pivot_row[q]
+                for i in range(n):
+                    f = tableau[i][q]
+                    if i != j and (f or p != det):
+                        row = tableau[i]
+                        tableau[i] = [(x * p - f * y) // det for x, y in zip(row, pivot_row)]
+                basis[j] = q
+                det = p
             rows = tuple(
                 tuple([x * sign for x, sign in zip(row[m:ncols], signs)]) for row in tableau
             )
@@ -354,6 +378,19 @@ def proves_member(witness, target) -> bool:
     return all(_dot(row, target) >= 0 for row in witness[0])
 
 
+def _counting_phase1(monkeypatch) -> list:
+    """Patch ``cones._phase1`` to record each target it is called on."""
+    calls = []
+    inner = cones._phase1
+
+    def counting(generators, target, packed=None):
+        calls.append(target)
+        return inner(generators, target, packed)
+
+    monkeypatch.setattr(cones, "_phase1", counting)
+    return calls
+
+
 class TestSeparators:
     def test_every_non_member_gets_a_separating_vector(self, catalog_cases):
         for key, target, (expected, _, _) in catalog_cases:
@@ -375,14 +412,7 @@ class TestSeparators:
     ):
         key = _key(surface)
         cone = Cone(key)
-        simplex_runs = []
-        inner = cones._phase1
-
-        def counting(generators, target, packed=None):
-            simplex_runs.append(target)
-            return inner(generators, target, packed)
-
-        monkeypatch.setattr(cones, "_phase1", counting)
+        simplex_runs = _counting_phase1(monkeypatch)
         targets = [c for c in itertools.product(range(-4, 5), repeat=surface.rank) if any(c)]
         decisions = [cones.cone_contains(cone, DivisorClass(t)) for t in targets]
         monkeypatch.undo()
@@ -404,6 +434,79 @@ class TestSeparators:
         assert cones._phase1((), (0, 0)) == (None, None)
         w, witness = cones._phase1((), (2, -1))
         assert separates((), (2, -1), w) and witness is None
+
+
+class TestWitnessAtTheEndOfPhase1:
+    """Artificial columns still basic at level 0 leave by degenerate pivots."""
+
+    def test_every_catalog_member_run_leaves_a_witness(self, catalog_cases):
+        # Every catalog cone spans its space, so no member run ends without one.
+        packings = _catalog_packings(catalog_cases)
+        members = 0
+        for key, target, (expected, _, _) in catalog_cases:
+            if not expected:
+                continue
+            members += 1
+            for packed in (packings[key], None):
+                w, witness = cones._phase1(key, target, packed)
+                assert w is None and witness is not None, (key, target)
+                assert exact_witness(key, witness), (key, target, witness)
+                assert proves_member(witness, target), (key, target, witness)
+        assert members > 2000
+
+    @pytest.mark.parametrize(
+        "generators",
+        [((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0))],
+        ids=["unpacked", "packed"],
+    )
+    def test_member_of_a_cone_that_does_not_span_leaves_none(self, generators, fresh_memo):
+        packed = cones._packed(generators, 3)
+        assert (packed is not None) == (len(generators) > 3)
+        assert cones._phase1(generators, (1, 1, 0), packed) == (None, None)
+        cone = Cone(generators)
+        assert cones.cone_contains(cone, DivisorClass((1, 1, 0)))
+        assert cone._witnesses == []
+
+    def test_face_member_witness_decides_a_second_face_target(self, fresh_memo, monkeypatch):
+        # H - E1 on dP3 lies on a face of the effective cone: its run ends
+        # with an artificial column basic at level 0.
+        cone = Cone(make_del_pezzo(3).effective_generators)
+        calls = _counting_phase1(monkeypatch)
+        assert cones.cone_contains(cone, DivisorClass((1, -1, 0, 0)))
+        assert len(calls) == 1 and len(cone._witnesses) == 1
+        assert cones.cone_contains(cone, DivisorClass((2, -2, 1, 0)))
+        assert len(calls) == 1
+
+
+class TestCheckedCertificates:
+    """A certificate from the simplex that fails its exact check is refused."""
+
+    GENERATORS = ((1, 0), (0, 1), (1, 1))
+
+    def _refused(self, monkeypatch, target, result) -> None:
+        monkeypatch.setattr(cones, "_phase1", lambda generators, t, packed=None: result)
+        cone = Cone(self.GENERATORS)
+        with pytest.raises(ArithmeticError):
+            cones._decision.__wrapped__(cone, target)
+        assert cone._separators == [] and cone._witnesses == []
+
+    def test_separator_orthogonal_to_the_target(self, monkeypatch):
+        # w.g >= 0 for every generator, but w.t = 0 does not separate.
+        self._refused(monkeypatch, (1, -1), ((1, 1), None))
+
+    @pytest.mark.parametrize("j, k", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_witness_with_one_entry_off_by_one(self, monkeypatch, j, k):
+        rows = [[1, 0], [0, 1]]
+        rows[j][k] += 1
+        witness = (tuple(map(tuple, rows)), (0, 1), 1)
+        self._refused(monkeypatch, (1, 1), (None, witness))
+
+    @pytest.mark.parametrize(
+        "witness", [(((-1, 0), (0, -1)), (0, 1), -1), (((0, 0), (0, 0)), (0, 1), 0)]
+    )
+    def test_witness_with_det_not_positive(self, monkeypatch, witness):
+        # Each is exact, rows . B == det * I, but det <= 0.
+        self._refused(monkeypatch, (1, 1), (None, witness))
 
 
 def _generator_sets():
@@ -744,6 +847,13 @@ class TestPacked:
         assert packed.limit == 2**63
         assert _unpacked(packed, (2**63 - 1,)) == (2**64 - 1, 1, 2**63)
         assert _unpacked(packed, (-(2**63 - 1),)) == (1, 2**64 - 1, 2**63)
+
+    def test_duals_fit_is_strict(self):
+        # limit = ceil(2^63 / 2^63) = 1, and rank 1 leaves bound = 1: equal to
+        # limit², which does not fit.
+        packed = cones._Packed(((1 << 63,), (1,)), 1)
+        assert packed.limit == 1
+        assert not packed.duals_fit
 
 
 def _unpacked(packed, d):
