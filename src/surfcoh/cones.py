@@ -3,16 +3,17 @@
 Membership in the non-negative span of a generator list is decided by an
 exact phase-1 simplex in revised form with integer-preserving
 (fraction-free) pivoting. A run keeps only det times the inverse of the
-basis matrix, the basic solution and the reduced costs of the artificial
-columns, all integers over one common denominator det, and every pivot
-divides exactly (Bareiss), so answers on the cone boundary are exact
-without any rational arithmetic. A generator's reduced cost is computed
-only when the pivot rule needs it. Dantzig's rule needs all of them: on a
-cone with more generators than coordinates they come from one product
-with the cone's packed generators (``_Packed``: one little-endian 64-bit
-field per generator, read back with one ``struct`` unpack); on smaller
-cones, and past the packing's exactness limit, from one dot product per
-generator.
+basis matrix, the basic solution and the dual vector, all integers over one
+common denominator det, and every pivot divides exactly (Bareiss), so
+answers on the cone boundary are exact without any rational arithmetic.
+Only generators enter the basis: an artificial column that leaves never
+comes back, and a tie in the ratio test takes an artificial column out
+first. A generator's reduced cost is computed only when the pivot rule
+needs it. Dantzig's rule needs all of them: on a cone with more generators
+than coordinates they come from one product with the cone's packed
+generators (``_Packed``: one little-endian 64-bit field per generator, read
+back with one ``struct`` unpack); on smaller cones, and past the packing's
+exactness limit, from one dot product per generator.
 Bland's rule, once it takes over, stops at the first generator that
 improves.
 
@@ -287,9 +288,13 @@ def _phase1(
     Phase-1 simplex: minimise the sum of one artificial variable per
     coordinate; feasible iff the optimum is zero. Row j is multiplied by
     sign_j, the sign of target[j] (+1 for 0), so that the basic solution
-    starts non-negative. Pivots follow Dantzig's rule for speed, first index
-    on ties, falling back to Bland's rule permanently once the objective
-    stalls, which rules out cycling; ratio ties go to the lower basis index.
+    starts non-negative. Only generator columns are priced, so an artificial
+    column never enters and stays at 0 once it has left. The entering
+    generator follows Dantzig's rule for speed, first index on ties, falling
+    back to Bland's rule permanently once the objective stalls. A ratio-test
+    tie goes to a row whose basic column is artificial, then to the lower
+    basis index, under either rule: Bland's rule with the artificial columns
+    ordered first, which rules out cycling.
 
     The run is the revised simplex over integers scaled by one common
     positive denominator ``det``, the determinant of the current basis (the
@@ -306,15 +311,15 @@ def _phase1(
 
     ``cost`` holds w = -det * y, y the phase-1 dual with the sign flips
     undone, followed by minus det times the objective value; it is updated
-    by the same pivot. Generator g's reduced cost, times det, is w.g, and
-    artificial column k's is sign_k * w_k + det. At an optimum above zero, w
-    separates. At an optimum of zero, each artificial column still basic
-    is at level 0 and leaves by a degenerate pivot on a generator entry of
-    its row, the first of ±det if any, so that rows with a zero in the
-    entering column stay as they are; a row with no nonzero generator entry
-    means that the generators do not span the space. Then the inverse rows
-    are W with W.B = det * I: row j gives det * x of the generator basic in
-    row j, for this target and any other.
+    by the same pivot. Generator g's reduced cost, times det, is w.g. At an
+    optimum above zero, w separates: w.g >= 0 for every generator, and
+    w.target is minus det times the objective. At an optimum of zero, each
+    artificial column still basic is at level 0 and leaves by a degenerate
+    pivot on a generator entry of its row, the first of ±det if any, so that
+    rows with a zero in the entering column stay as they are; a row with no
+    nonzero generator entry means that the generators do not span the
+    space. Then the inverse rows are W with W.B = det * I: row j gives
+    det * x of the generator basic in row j, for this target and any other.
     """
     n = len(target)
     m = len(generators)
@@ -344,12 +349,6 @@ def _phase1(
                 if f < 0:
                     entering = q
                     break
-            else:
-                for k, sign in enumerate(signs):
-                    f = sign * cost[k] + det
-                    if f < 0:
-                        entering = m + k
-                        break
         else:
             # Every generator's reduced cost at once, as the fields of one
             # packed total, while w is within the packing's limit.
@@ -367,12 +366,6 @@ def _phase1(
                 f = min(costs)
                 if f < 0:
                     entering = costs.index(f)
-            # An artificial column enters only when strictly cheaper, since
-            # ties go to the lower column index.
-            lowest = min(map(mul, signs, cost)) + det
-            if lowest < f and lowest < 0:
-                entering = m + list(map(mul, signs, cost)).index(lowest - det)
-                f = lowest
         if entering < 0:
             if cost[n]:
                 return tuple(cost[:n]), None
@@ -409,14 +402,10 @@ def _phase1(
                 basis[j] = entering
                 det = p
             return None, (tuple(map(tuple, rows)), tuple(basis), det)
-        if entering < m:
-            g = generators[entering]
-            column = [sum(map(mul, row, g)) for row in rows]
-        else:
-            k = entering - m
-            sign = signs[k]
-            column = [row[k] * sign for row in rows]
-        # Ratio test on rhs / a, compared as rhs * best_a against best_rhs * a.
+        g = generators[entering]
+        column = [sum(map(mul, row, g)) for row in rows]
+        # Ratio test on rhs / a, compared as rhs * best_a against best_rhs * a;
+        # ties go to an artificial row, then to the lower basis index.
         leaving = -1
         best_rhs = best_a = 0
         for j, a in enumerate(column):
@@ -424,7 +413,9 @@ def _phase1(
                 rhs = rows[j][n]
                 if leaving >= 0:
                     lhs, bound = rhs * best_a, best_rhs * a
-                    if lhs > bound or (lhs == bound and basis[j] > basis[leaving]):
+                    if lhs > bound or lhs == bound and (
+                        (basis[j] < m, basis[j]) > (basis[leaving] < m, basis[leaving])
+                    ):
                         continue
                 leaving, best_rhs, best_a = j, rhs, a
         if leaving < 0:

@@ -288,7 +288,7 @@ def iterate_to_nef(surface: SurfaceModel, d: DivisorClass) -> TransformTrace:
     """
     if not is_effective(surface, d):
         raise NotEffectiveError(
-            f"class {d} is not effective on {surface.name!r}; iteration may not terminate"
+            f"class {d} is not effective on {surface.name!r}, so it has no section"
         )
     kernel = _kernel(surface)
     steps: list[TransformStep] = []

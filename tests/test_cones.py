@@ -1,8 +1,9 @@
 """The integer-pivoting simplex behind cone membership, against two references.
 
 ``reference_decision`` is the same phase-1 simplex written over
-``Fraction``: the same pivot rules (Dantzig, then Bland once the objective
-stalls; ratio ties to the lower basis index), but every entry an exact
+``Fraction``: the same pivot rules (only generator columns enter, by
+Dantzig's rule, then Bland's once the objective stalls; ratio ties to an
+artificial row, then to the lower basis index), but every entry an exact
 rational. The library's fraction-free simplex must reach the same decision
 on every input, and every certificate it hands out (a separating vector
 for a non-member, a member witness for a member) must be exact.
@@ -89,13 +90,13 @@ def reference_decision(
         while True:
             entering = -1
             if use_bland:
-                for q in range(ncols):
+                for q in range(m):
                     if cost[q] < 0:
                         entering = q
                         break
             else:
                 worst = zero
-                for q in range(ncols):
+                for q in range(m):
                     if cost[q] < worst:
                         worst = cost[q]
                         entering = q
@@ -110,7 +111,7 @@ def reference_decision(
                     if (
                         best is None
                         or ratio < best
-                        or (ratio == best and basis[j] < basis[leaving])
+                        or ratio == best and _leaves_first(basis[j], basis[leaving], m)
                     ):
                         best = ratio
                         leaving = j
@@ -146,17 +147,25 @@ def reference_decision(
     return pivot_until_optimal(tableau, cost, basis, False)
 
 
+def _leaves_first(k, other, m) -> bool:
+    """On a ratio tie, whether basic column k leaves before basic column other:
+    artificial columns (index m and up) first, then the lower index."""
+    return (k < m, k) < (other < m, other)
+
+
 def dense_phase1(generators, target, stall_factor=2, trace=None):
     """(separator, witness) of the phase-1 simplex over the dense tableau.
 
     The tableau holds every generator column, the artificial columns and the
     right-hand side, all times the basis determinant ``det``, and a pivot
-    rewrites all of it by Bareiss's exact division. At a feasible end, the
-    artificial columns still basic leave by degenerate pivots, and a
-    negative pivot row is negated first, so that det stays positive. When
-    ``trace`` is a list, each pricing appends (w, Bland's rule on), w the
-    dual vector that the revised simplex prices the generators with: w.g is
-    generator g's reduced cost times det.
+    rewrites all of it by Bareiss's exact division. Only generator columns
+    are priced, and a ratio tie goes to an artificial row first. At a
+    feasible end, the artificial columns still basic leave by degenerate
+    pivots, and a negative pivot row is negated first, so that det stays
+    positive. When ``trace`` is a list, each pricing appends (w, Bland's
+    rule on, entering column), w the dual vector that the revised simplex
+    prices the generators with (w.g is generator g's reduced cost times
+    det) and the entering column -1 at the last pricing.
     """
     n = len(target)
     m = len(generators)
@@ -183,19 +192,19 @@ def dense_phase1(generators, target, stall_factor=2, trace=None):
     stalled = 0
     stall_limit = stall_factor * (m + n + 5)
     while True:
-        if trace is not None:
-            w = tuple([sign * (cost[m + j] - det) for j, sign in enumerate(signs)])
-            trace.append((w, use_bland))
         entering = -1
         if use_bland:
-            for q in range(ncols):
+            for q in range(m):
                 if cost[q] < 0:
                     entering = q
                     break
         else:
-            worst = min(cost[:ncols])
+            worst = min(cost[:m])
             if worst < 0:
                 entering = cost.index(worst)
+        if trace is not None:
+            w = tuple([sign * (cost[m + j] - det) for j, sign in enumerate(signs)])
+            trace.append((w, use_bland, entering))
         if entering < 0:
             if cost[ncols]:
                 w = tuple([sign * (cost[m + j] - det) for j, sign in enumerate(signs)])
@@ -237,7 +246,9 @@ def dense_phase1(generators, target, stall_factor=2, trace=None):
                 rhs = row[ncols]
                 if leaving >= 0:
                     lhs, bound = rhs * best_a, best_rhs * a
-                    if lhs > bound or (lhs == bound and basis[j] > basis[leaving]):
+                    if lhs > bound or (
+                        lhs == bound and not _leaves_first(basis[j], basis[leaving], m)
+                    ):
                         continue
                 leaving, best_rhs, best_a = j, rhs, a
         pivot_row = tableau[leaving]
@@ -631,13 +642,16 @@ class TestAgainstDenseTableau:
             expected = dense_phase1(key, target, stall_factor, trace)
             assert cones._phase1(key, target, packed) == expected, (key, target)
             assert cones._phase1(key, target) == expected, (key, target)
+            # Only generator columns enter, and only the last pricing finds none.
+            assert [q for _, _, q in trace[:-1] if not 0 <= q < len(key)] == []
+            assert trace[-1][2] == -1
             if packed is not None:
                 packed_runs += 1
                 packed_bland_runs += trace[-1][1]
                 # Every catalog cone's duals fit its packing, so no run
                 # checks the limit.
                 assert packed.duals_fit
-                assert all(max(map(abs, w)) < packed.limit for w, _ in trace)
+                assert all(max(map(abs, w)) < packed.limit for w, _, _ in trace)
         assert packed_runs > 6000
         if stall_factor == 0:
             # Bland's rule takes over while pricing is packed.
@@ -645,8 +659,9 @@ class TestAgainstDenseTableau:
 
     @pytest.mark.parametrize("stall_factor", [DEFAULT_STALL_FACTOR, 0])
     @given(case=_generator_sets())
-    # An artificial column ties the cheapest generator here; the generator,
-    # the lower column index, must enter.
+    # Under the default stall allowance, the ratio test here twice ties a
+    # generator row with an artificial row; each time the artificial row
+    # leaves.
     @example(
         case=(((2, 0, -3), (-1, -1, 2), (-2, 1, 1), (0, 0, 2), (-3, 1, 6), (1, 0, -1)), (0, 0, 1))
     )
@@ -669,7 +684,7 @@ class TestAgainstDenseTableau:
         finally:
             cones._STALL_FACTOR = original
         if packed.duals_fit:
-            assert all(max(map(abs, w)) < packed.limit for w, _ in trace)
+            assert all(max(map(abs, w)) < packed.limit for w, _, _ in trace)
 
     def test_ample_class_lps(self, monkeypatch):
         # The LP each kernel solves for its ample class, on every catalog
@@ -723,9 +738,63 @@ class TestAgainstDenseTableau:
             trace = []
             expected = dense_phase1(generators, target, trace=trace)
             assert cones._phase1(generators, target, packed) == expected, (generators, target)
-            within = [max(map(abs, w)) < packed.limit for w, _ in trace]
+            within = [max(map(abs, w)) < packed.limit for w, _, _ in trace]
             mid_run += within[0] and not all(within)
         assert mid_run > 20
+
+
+class TestPivotRule:
+    """Only generator columns enter, and a ratio tie takes an artificial row out first."""
+
+    def test_ratio_tie_takes_the_artificial_row_out(self):
+        # t = g0 on the cone of g0 = (1, 1) and g1 = (2, 1). g1 enters first
+        # (reduced cost -3 against -2) out of row 0 at level 1/2. Then g0's
+        # column is (1/2, 1/2) against basic values (1/2, 1/2): g1 in row 0
+        # and the artificial column of row 1 tie at ratio 1. The artificial
+        # row leaves, so g0 takes row 1 and g1 stays basic at level 0, with
+        # no exit pivot. Leaving g1 instead (the lower column index) would
+        # leave the artificial column basic at level 0.
+        generators, target = ((1, 1), (2, 1)), (1, 1)
+        witness = (((1, -1), (-1, 2)), (1, 0), 1)
+        trace = []
+        assert dense_phase1(generators, target, trace=trace) == (None, witness)
+        assert [q for _, _, q in trace] == [1, 0, -1]
+        packed = cones._Packed(generators, 2)
+        assert cones._phase1(generators, target, packed) == (None, witness)
+        assert cones._phase1(generators, target) == (None, witness)
+
+    def test_an_artificial_column_that_left_stays_out(self):
+        # t = -e3 is outside the cone of g0 = (0, 1, -1) and g1 = (1, 2, 0).
+        # g1 enters first, out of row 0, then g0, both at level 0. Then both
+        # generators' reduced costs are 0, and the run stops with w =
+        # (-2, 1, 1), orthogonal to both, although the artificial column of
+        # row 0 now has reduced cost -1. Pricing it too would take one more
+        # pivot, to w = (-1, 1, 1).
+        generators, target = ((0, 1, -1), (1, 2, 0)), (0, 0, -1)
+        separator = (-2, 1, 1)
+        trace = []
+        assert dense_phase1(generators, target, trace=trace) == (separator, None)
+        assert [q for _, _, q in trace] == [1, 0, -1]
+        packed = cones._Packed(generators, 3)
+        assert cones._phase1(generators, target, packed) == (separator, None)
+        assert cones._phase1(generators, target) == (separator, None)
+
+    def test_dp8_run_ends_with_no_artificial_column_basic(self):
+        # On the 240-generator dP8 cone this member takes 14 pivots and the
+        # final pricing, with no exit pivot. A rule that lets artificial
+        # columns enter and gives ratio ties to the lower column index takes
+        # 31 pivots and one exit pivot.
+        key = _key(make_del_pezzo(8))
+        target = (6, -2, -2, -2, -2, -4, -2, 0, -2)
+        trace = []
+        w, witness = dense_phase1(key, target, trace=trace)
+        assert w is None and exact_witness(key, witness) and proves_member(witness, target)
+        assert len(trace) == 15 and not any(bland for _, bland, _ in trace)
+        # Without a packing, the run iterates the generators once per
+        # pricing and once per exit pivot.
+        generators = _CountedIterations(key)
+        assert cones._phase1(generators, target) == (None, witness)
+        assert generators.iterations == 15
 
 
 # Chvatal's cycling example (Linear Programming, 1983, ch. 3): maximise
@@ -787,10 +856,10 @@ class TestStallLimit:
             self.SEPARATOR,
             None,
         )
-        duals = [w for w, _ in trace]
+        duals = [w for w, _, _ in trace]
         assert len(set(duals[7:37])) == 6
         assert duals[7:31] == duals[13:37]
-        assert [bland for _, bland in trace] == [False] * 37 + [True] * 8
+        assert [bland for _, bland, _ in trace] == [False] * 37 + [True] * 8
 
     def test_unpacked_run_switches_after_the_stall_limit(self):
         assert DEFAULT_STALL_FACTOR * (len(CYCLING_GENERATORS) + len(CYCLING_TARGET) + 5) == 36

@@ -172,7 +172,7 @@ class TestIterate:
             iterate_to_nef(make_del_pezzo(1), D([1, -2]))
         assert type(err.value) is NotEffectiveError
         assert err.value.args == (
-            "class [1, -2] is not effective on 'dp1'; iteration may not terminate",
+            "class [1, -2] is not effective on 'dp1', so it has no section",
         )
 
     def test_incomplete_curve_list_detected(self):
