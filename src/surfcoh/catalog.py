@@ -16,6 +16,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from pathlib import Path
 
+from .cones import Cone, cone_contains
 from .errors import SpecValidationError, UnknownSurfaceError
 from .lattice import DivisorClass, IntersectionForm, Regime, SurfaceModel
 
@@ -93,7 +94,8 @@ def load_surface(spec: Mapping) -> SurfaceModel:
     the whole lattice, and so on every listed vector, read off the
     diagonal: mod 2, d.(d - K) is sum_i d_i (M_ii - (M.K)_i), so each
     M_ii - (M.K)_i must be even. It also checks the Hodge index theorem:
-    the pairing must have signature (1, rank - 1).
+    the pairing must have signature (1, rank - 1), and last what the
+    lattice data can show of the regime (``_check_regime``).
     """
     missing = [k for k in _SPEC_FIELDS if k not in spec]
     if missing:
@@ -141,7 +143,64 @@ def load_surface(spec: Mapping) -> SurfaceModel:
             f"signature ({pos}, {neg}) with {null} null directions; "
             f"a surface lattice must have signature (1, {rank - 1})",
         )
+    _check_regime(surface)
     return surface
+
+
+def _check_regime(surface: SurfaceModel) -> None:
+    """Check what the lattice data can show of the regime a surface claims.
+
+    ``certify_vanishing`` certifies every nef class of a del Pezzo or toric
+    surface on the strength of its regime alone. The checks are exact, and
+    necessary only:
+
+    - del_pezzo: -K is ample by Kleiman's criterion on the Mori cone, so
+      -K.g >= 1 for every Mori generator g, and K^2 > 0.
+    - del_pezzo and toric_convex_fan: chi(O) = 1 and K^2 = 10 - rank
+      (Noether's formula for a rational surface, with e = rank + 2).
+    - toric_convex_fan: -K, the sum of the boundary divisors, lies in the
+      effective cone.
+    - trivial_canonical: K = 0.
+
+    A failure raises SpecValidationError on the field ``regime``.
+    """
+    regime = surface.regime
+    canonical = surface.canonical_class
+    if regime is Regime.GENERAL:
+        return
+    if regime is Regime.TRIVIAL_CANONICAL:
+        if not canonical.is_zero:
+            raise SpecValidationError("regime", f"trivial_canonical needs K = 0, got {canonical}")
+        return
+    k_dual = surface.form.dual(canonical)
+    k_square = sum(map(operator.mul, k_dual, canonical.coefficients))
+    if regime is Regime.DEL_PEZZO:
+        for g in surface.mori_generators:
+            product = -sum(map(operator.mul, k_dual, g.coefficients))
+            if product < 1:
+                raise SpecValidationError(
+                    "regime",
+                    f"del_pezzo needs -K.g >= 1 for every Mori generator g, "
+                    f"but -K.{g} = {product}",
+                )
+        if k_square <= 0:
+            raise SpecValidationError("regime", f"del_pezzo needs K^2 > 0, got {k_square}")
+    if surface.chi_structure_sheaf != 1:
+        raise SpecValidationError(
+            "regime", f"{regime.value} needs chi(O) = 1, got {surface.chi_structure_sheaf}"
+        )
+    if k_square != 10 - surface.rank:
+        raise SpecValidationError(
+            "regime",
+            f"{regime.value} needs K^2 = 10 - rank = {10 - surface.rank} "
+            f"(Noether's formula), got {k_square}",
+        )
+    if regime is Regime.TORIC_CONVEX_FAN and not cone_contains(
+        Cone(surface.effective_generators), -canonical
+    ):
+        raise SpecValidationError(
+            "regime", f"toric_convex_fan needs -K = {-canonical} in the effective cone"
+        )
 
 
 def signature(matrix: Iterable[Iterable[int]]) -> tuple[int, int, int]:

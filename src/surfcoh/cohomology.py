@@ -108,26 +108,36 @@ class CohomologyResult(_Frozen):
         )
 
 
+# The certificates that do not depend on the class, built once.
+_DEMAZURE = VanishingCertificate(
+    CertificateRule.DEMAZURE,
+    "complete toric fan: higher cohomology of any nef class vanishes",
+)
+_DEL_PEZZO = VanishingCertificate(
+    CertificateRule.KAWAMATA_VIEHWEG,
+    "del Pezzo surface: the shifted class d - K is automatically nef and big",
+)
+_NOT_EFFECTIVE = VanishingCertificate(
+    CertificateRule.NONE, "class has no section; h0 = 0 unconditionally"
+)
+
+
 def certify_vanishing(surface: SurfaceModel, d_nef: DivisorClass) -> VanishingCertificate:
     """Vanishing certificate for the higher cohomology of a nef class.
 
     Toric surfaces with complete fans and del Pezzo surfaces are certified
-    outright; otherwise the shifted class d - K must be nef and big
-    (Kawamata-Viehweg). A shifted class that is ample in the
-    Nakai-Moishezon sense is nef and big, so needs no separate rule.
+    outright, on the strength of the surface's regime, which
+    ``load_surface`` checks against the lattice data of a spec; otherwise
+    the shifted class d - K must be nef and big (Kawamata-Viehweg). A
+    shifted class that is ample in the Nakai-Moishezon sense is nef and
+    big, so needs no separate rule.
     """
     if not is_nef(surface, d_nef):
         raise NotNefError(f"class {d_nef} is not nef on {surface.name!r}")
     if surface.regime is Regime.TORIC_CONVEX_FAN:
-        return VanishingCertificate(
-            CertificateRule.DEMAZURE,
-            "complete toric fan: higher cohomology of any nef class vanishes",
-        )
+        return _DEMAZURE
     if surface.regime is Regime.DEL_PEZZO:
-        return VanishingCertificate(
-            CertificateRule.KAWAMATA_VIEHWEG,
-            "del Pezzo surface: the shifted class d - K is automatically nef and big",
-        )
+        return _DEL_PEZZO
     shifted = d_nef - surface.canonical_class
     shifted_sq = intersect(surface, shifted, shifted)
     if is_nef(surface, shifted) and shifted_sq > 0:
@@ -139,11 +149,6 @@ def certify_vanishing(surface: SurfaceModel, d_nef: DivisorClass) -> VanishingCe
         CertificateRule.NONE,
         "d - K is not nef and big; no vanishing certificate applies",
     )
-
-
-_NOT_EFFECTIVE = VanishingCertificate(
-    CertificateRule.NONE, "class has no section; h0 = 0 unconditionally"
-)
 
 
 def _h0_branch(

@@ -148,17 +148,27 @@ class _Frozen:
 
 
 class IntersectionForm:
-    """Symmetric integer pairing matrix on the Picard lattice."""
+    """Symmetric integer pairing matrix on the Picard lattice.
 
-    __slots__ = ("matrix",)
+    Besides ``matrix`` the form keeps its diagonal and its nonzero entries
+    above the diagonal, as (i, j, m_ij) with i < j, in private slots, and
+    computes from them: the catalog's forms are diagonal (dP_k, gdp2) or
+    have one off-diagonal entry (F_n). Equality, hashing, repr and pickling
+    read ``matrix`` only.
+    """
+
+    __slots__ = ("matrix", "_diagonal", "_off_diagonal")
 
     matrix: tuple[tuple[int, ...], ...]
+    _diagonal: tuple[int, ...]
+    _off_diagonal: tuple[tuple[int, int, int], ...]
 
     def __init__(self, matrix: Iterable[Iterable[int]]):
         rows = tuple(tuple(operator.index(x) for x in row) for row in matrix)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise SpecValidationError("intersection_matrix", "matrix is not square")
+        off_diagonal = []
         for i in range(n):
             for j in range(i + 1, n):
                 if rows[i][j] != rows[j][i]:
@@ -166,7 +176,11 @@ class IntersectionForm:
                         "intersection_matrix",
                         f"matrix is not symmetric at ({i}, {j})",
                     )
+                if rows[i][j]:
+                    off_diagonal.append((i, j, rows[i][j]))
         object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "_diagonal", tuple([rows[i][i] for i in range(n)]))
+        object.__setattr__(self, "_off_diagonal", tuple(off_diagonal))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IntersectionForm is immutable")
@@ -179,8 +193,8 @@ class IntersectionForm:
         return len(self.matrix)
 
     def pairing(self, d: DivisorClass, e: DivisorClass) -> int:
-        n = self.rank
-        if len(d) != n or len(e) != n:
+        n = len(self._diagonal)
+        if len(d.coefficients) != n or len(e.coefficients) != n:
             raise RankMismatchError(
                 f"form has rank {n} but classes have ranks {len(d)} and {len(e)}"
             )
@@ -190,12 +204,20 @@ class IntersectionForm:
         """The vector M·d, so that d.e = sum(M·d[i] * e[i]) for every class e.
 
         Computing it once turns each further intersection with d into a
-        rank-length dot product instead of a rank x rank sum.
+        rank-length dot product. It is summed over the nonzero entries of M:
+        the diagonal times d, then each entry m_ij above the diagonal added
+        as m_ij d_j to entry i and m_ij d_i to entry j.
         """
-        if len(d) != self.rank:
-            raise RankMismatchError(f"form has rank {self.rank} but class has rank {len(d)}")
         coeffs = d.coefficients
-        return tuple([sum(map(operator.mul, row, coeffs)) for row in self.matrix])
+        if len(coeffs) != len(self._diagonal):
+            raise RankMismatchError(f"form has rank {self.rank} but class has rank {len(d)}")
+        if not self._off_diagonal:
+            return tuple(map(operator.mul, self._diagonal, coeffs))
+        dual = list(map(operator.mul, self._diagonal, coeffs))
+        for i, j, m in self._off_diagonal:
+            dual[i] += m * coeffs[j]
+            dual[j] += m * coeffs[i]
+        return tuple(dual)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntersectionForm):
@@ -324,21 +346,18 @@ class SurfaceModel(_Frozen):
 
 
 def _squares(form: IntersectionForm, classes: tuple[DivisorClass, ...]) -> list[int]:
-    """d.d for each class d of the form's rank, summed over the nonzero entries.
+    """d.d for each class d of the form's rank, summed over the form's nonzero entries.
 
-    The same numbers as ``form.pairing(d, d)`` without its rank checks and
-    without a rank x rank product per class: a del Pezzo form is diagonal.
+    The same numbers as ``form.pairing(d, d)`` without its rank checks.
     """
-    m = form.matrix
-    n = len(m)
-    diagonal = [m[i][i] for i in range(n)]
-    off_diagonal = [(i, j, 2 * m[i][j]) for i in range(n) for j in range(i + 1, n) if m[i][j]]
+    diagonal = form._diagonal
+    off_diagonal = form._off_diagonal
     squares = []
     for d in classes:
         v = d.coefficients
         square = sum(map(operator.mul, diagonal, map(operator.mul, v, v)))
-        for i, j, twice in off_diagonal:
-            square += twice * v[i] * v[j]
+        for i, j, m in off_diagonal:
+            square += 2 * m * v[i] * v[j]
         squares.append(square)
     return squares
 

@@ -235,7 +235,9 @@ _NO_SECTION = {
 }
 
 
-def _dual(matrix, v) -> list[int]:
+def dense_dual(matrix, v) -> list[int]:
+    """M·v as the dense product, row by row: the reference for the sparse
+    ``IntersectionForm.dual``, which sums over the nonzero entries only."""
     return [sum(map(mul, row, v)) for row in matrix]
 
 
@@ -245,9 +247,10 @@ def _report_duals(surface: SurfaceModel):
     matrix = surface.form.matrix
     curves = []
     for c in surface.negative_curves:
-        c_dual = _dual(matrix, c)
+        c_dual = dense_dual(matrix, c)
         curves.append((list(c), c_dual, -sum(map(mul, c, c_dual))))
-    return curves, [g for _, g, _ in curves] + [_dual(matrix, g) for g in surface.mori_generators]
+    mori = [dense_dual(matrix, g) for g in surface.mori_generators]
+    return curves, [g for _, g, _ in curves] + mori
 
 
 def check_report(surface: SurfaceModel, d: DivisorClass, payload: dict) -> None:
@@ -279,7 +282,7 @@ def check_report(surface: SurfaceModel, d: DivisorClass, payload: dict) -> None:
         return [a - b for a, b in zip(v, k)]
 
     def chi_of(v):
-        return surface.chi_structure_sheaf + dot(v, _dual(matrix, minus_k(v))) // 2
+        return surface.chi_structure_sheaf + dot(v, dense_dual(matrix, minus_k(v))) // 2
 
     chi = chi_of(list(d))
     h0, h1, h2 = payload["h0"], payload["h1"], payload["h2"]
@@ -309,7 +312,7 @@ def check_report(surface: SurfaceModel, d: DivisorClass, payload: dict) -> None:
             assert rule == "kawamata_viehweg"
         else:
             shifted = minus_k(current)
-            square = dot(shifted, _dual(matrix, shifted))
+            square = dot(shifted, dense_dual(matrix, shifted))
             if rule == "kawamata_viehweg":
                 assert nef(shifted) and square > 0
                 assert certificate["detail"] == f"d - K is nef with (d - K)^2 = {square} > 0"

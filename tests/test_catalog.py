@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gdp2_surface
+from conftest import fan_surface, gdp2_surface, seeded_blow_ups
 from surfcoh import (
     MINUS_ONE_CURVE_COUNTS,
     Cone,
@@ -30,6 +30,7 @@ from surfcoh import (
     read_spec,
     signature,
 )
+from surfcoh.catalog import _check_regime
 
 D = DivisorClass
 
@@ -409,6 +410,110 @@ class TestLoadSurface:
         with pytest.raises(SpecValidationError, match="signature") as err:
             load_surface(data)
         assert err.value.field == "intersection_matrix"
+
+
+def regime_spec(regime, matrix, canonical, chi=1, mori=None, effective=None):
+    """A spec with no negative curves that passes every check before the regime's."""
+    unit = [[int(i == j) for j in range(len(matrix))] for i in range(len(matrix))]
+    return {
+        "name": "regime",
+        "rank": len(matrix),
+        "intersection_matrix": matrix,
+        "canonical_class": canonical,
+        "chi_structure_sheaf": chi,
+        "negative_curves": [],
+        "mori_generators": mori or unit,
+        "effective_generators": effective or mori or unit,
+        "regime": regime,
+    }
+
+
+_K3_FORM = [[0, 1], [1, 0]]
+_PLANE_BLOWN_UP_9 = [[int(i == j) * (1 if i == 0 else -1) for j in range(10)] for i in range(10)]
+
+
+class TestRegimeChecks:
+    """load_surface checks what the lattice can show of the claimed regime."""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # The K3 slice (chi(O) = 2, K = 0) under a rational label.
+            (
+                regime_spec("del_pezzo", _K3_FORM, [0, 0], chi=2),
+                "del_pezzo needs -K.g >= 1 for every Mori generator g, but -K.[1, 0] = 0",
+            ),
+            (
+                regime_spec("toric_convex_fan", _K3_FORM, [0, 0], chi=2),
+                "toric_convex_fan needs chi(O) = 1, got 2",
+            ),
+            # The plane blown up at nine points: -K meets H positively, but
+            # K^2 = 0.
+            (
+                regime_spec("del_pezzo", _PLANE_BLOWN_UP_9, [-3] + [1] * 9, mori=[[1] + [0] * 9]),
+                "del_pezzo needs K^2 > 0, got 0",
+            ),
+            (
+                regime_spec("del_pezzo", [[1]], [-3], chi=2),
+                "del_pezzo needs chi(O) = 1, got 2",
+            ),
+            (
+                regime_spec("del_pezzo", [[1]], [-1]),
+                "del_pezzo needs K^2 = 10 - rank = 9 (Noether's formula), got 1",
+            ),
+            (
+                regime_spec("toric_convex_fan", [[1]], [-1]),
+                "toric_convex_fan needs K^2 = 10 - rank = 9 (Noether's formula), got 1",
+            ),
+            # F1's lattice with an effective cone that leaves out -K = 2C0 + 3f.
+            (
+                regime_spec(
+                    "toric_convex_fan", [[-1, 1], [1, 0]], [-2, -3], effective=[[1, 0], [1, 1]]
+                ),
+                "toric_convex_fan needs -K = [2, 3] in the effective cone",
+            ),
+            (
+                regime_spec("trivial_canonical", _K3_FORM, [2, 0], chi=2),
+                "trivial_canonical needs K = 0, got [2, 0]",
+            ),
+        ],
+        ids=[
+            "k3-as-del-pezzo",
+            "k3-as-toric",
+            "del-pezzo-k-square",
+            "del-pezzo-chi",
+            "del-pezzo-noether",
+            "toric-noether",
+            "toric-anticanonical",
+            "trivial-canonical",
+        ],
+    )
+    def test_claim_that_the_lattice_refutes(self, spec, message):
+        with pytest.raises(SpecValidationError) as err:
+            load_surface(spec)
+        assert err.value.field == "regime"
+        assert str(err.value) == f"regime: {message}"
+
+    def test_k3_slice_under_its_own_label(self):
+        surface = load_surface(regime_spec("trivial_canonical", _K3_FORM, [0, 0], chi=2))
+        assert surface.regime is Regime.TRIVIAL_CANONICAL
+
+    @pytest.mark.parametrize(
+        "surface",
+        [make_del_pezzo(k) for k in range(9)]
+        + [make_hirzebruch(n) for n in range(5)]
+        + [catalog_surface("gdp2")]
+        + [load_surface(read_spec(fixture_path(name))) for name in ("f2", "gdp2")],
+        ids=[f"dp{k}" for k in range(9)] + [f"f{n}" for n in range(5)]
+        + ["gdp2", "f2.json", "gdp2.json"],
+    )
+    def test_catalog_surfaces_pass(self, surface):
+        # The builders do not go through load_surface, so run its check here.
+        _check_regime(surface)
+
+    def test_seeded_blow_ups_pass_as_toric(self):
+        for toric, _ in seeded_blow_ups():
+            _check_regime(fan_surface(toric, Regime.TORIC_CONVEX_FAN))
 
 
 def surface_fields(surface):

@@ -257,9 +257,11 @@ class TestScanCommand:
 
     def test_self_contradictory_fixture_fails_loudly(self, capsys, tmp_path):
         # A wrong canonical class makes the pipeline's own h1-positivity
-        # check fire; the scan must not paper over it.
+        # check fire; the scan must not paper over it. The spec claims the
+        # general regime, which load_surface cannot check against K.
         data = json.loads(fixture_path("f2").read_text())
         data["canonical_class"] = [-2, -6]
+        data["regime"] = "general"
         path = tmp_path / "f2_bad_k.json"
         path.write_text(json.dumps(data))
         code, _, err = run_cli(
@@ -267,6 +269,22 @@ class TestScanCommand:
         )
         assert code == 1
         assert "inconsistent" in err
+
+    def test_wrong_canonical_class_fails_the_toric_regime_at_load(self, capsys, tmp_path):
+        # Under its own label the same fault is caught before any class runs:
+        # K^2 = 16 breaks Noether's formula on a rational surface of rank 2.
+        data = json.loads(fixture_path("f2").read_text())
+        data["canonical_class"] = [-2, -6]
+        path = tmp_path / "f2_bad_k.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "scan", "--surface", str(path), "--oracle", "f2", "--box", "-3..3"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: regime: toric_convex_fan needs K^2 = 10 - rank = 8 "
+            "(Noether's formula), got 16\n"
+        )
 
 
 def write_form_spec(tmp_path, matrix):

@@ -24,6 +24,7 @@ from surfcoh import (
     NotNefError,
     Regime,
     SurfaceModel,
+    VanishingCertificate,
     certify_vanishing,
     cohomology,
     del_pezzo_h0,
@@ -79,6 +80,39 @@ class TestCertifyVanishing:
         data = cert.to_json()
         assert set(data) == {"status", "rule", "detail"}
         assert data["status"] == "certified"
+
+    @pytest.mark.parametrize(
+        "surface, limit, rule, detail",
+        [
+            (
+                make_hirzebruch(2),
+                D([0, 1]),
+                CertificateRule.DEMAZURE,
+                "complete toric fan: higher cohomology of any nef class vanishes",
+            ),
+            (
+                make_del_pezzo(3),
+                D([3, -1, -1, -1]),
+                CertificateRule.KAWAMATA_VIEHWEG,
+                "del Pezzo surface: the shifted class d - K is automatically nef and big",
+            ),
+        ],
+        ids=["demazure", "del_pezzo"],
+    )
+    def test_regime_certificates_are_the_records_they_replace(
+        self, surface, limit, rule, detail
+    ):
+        # The regime shortcuts return one shared record per regime; it must
+        # equal, hash and serialise as the record that was built per call.
+        built = VanishingCertificate(rule, detail)
+        cert = certify_vanishing(surface, limit)
+        assert cert == built and hash(cert) == hash(built)
+        assert cert.to_json() == built.to_json() == {
+            "status": "certified",
+            "rule": rule.value,
+            "detail": detail,
+        }
+        assert certify_vanishing(surface, D.zero(surface.rank)) is cert
 
 
 class TestCohomology:

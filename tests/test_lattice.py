@@ -6,10 +6,10 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import all_catalog_surfaces, gdp2_surface, k3_like_surface
+from conftest import all_catalog_surfaces, dense_dual, gdp2_surface, k3_like_surface
 from surfcoh import (
     DivisorClass,
     IntegralityError,
@@ -148,6 +148,84 @@ class TestSquares:
                 if sum(1 for x in v if x) >= 2:
                     classes.append(D(v))
             assert _squares(form, classes) == [form.pairing(d, d) for d in classes]
+
+
+def entries():
+    """Small integers, and integers past 2^63 either side."""
+    return st.one_of(st.integers(-4, 4), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def forms_and_classes(draw):
+    """A symmetric integer matrix of rank 1-10 with classes of its rank.
+
+    The matrix is zero, diagonal only, diagonal with one entry off it (the
+    shape of F_n), or dense, every entry above the diagonal drawn.
+    """
+    n = draw(st.integers(1, 10))
+    shape = draw(st.sampled_from(["zero", "diagonal", "one", "dense"]))
+    a = [[0] * n for _ in range(n)]
+    if shape != "zero":
+        for i in range(n):
+            a[i][i] = draw(entries())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if shape == "one" and pairs:
+        pairs = [draw(st.sampled_from(pairs))]
+    if shape in ("one", "dense"):
+        for i, j in pairs:
+            a[i][j] = a[j][i] = draw(entries())
+    vectors = st.lists(entries(), min_size=n, max_size=n).map(D)
+    return a, draw(st.lists(vectors, min_size=2, max_size=4))
+
+
+_DENSE_PAST_2_63 = (
+    [[2**64 + i + j if i != j else -(2**65) for j in range(10)] for i in range(10)],
+    [D([(-1) ** k * (2**63 + k) for k in range(10)]), D(range(-5, 5))],
+)
+
+
+class TestSparseProduct:
+    """``dual``, ``pairing`` and ``_squares`` sum over the form's nonzero
+    entries; the dense product row by row is their reference."""
+
+    @given(forms_and_classes())
+    @example(_DENSE_PAST_2_63)
+    def test_dual_matches_dense_product(self, case):
+        matrix, classes = case
+        form = IntersectionForm(matrix)
+        for d in classes:
+            dual = form.dual(d)
+            assert type(dual) is tuple and all(type(x) is int for x in dual)
+            assert dual == tuple(dense_dual(matrix, d))
+
+    @given(forms_and_classes())
+    @example(_DENSE_PAST_2_63)
+    def test_pairing_matches_dense_product(self, case):
+        matrix, classes = case
+        form = IntersectionForm(matrix)
+        for d, e in itertools.product(classes, repeat=2):
+            assert form.pairing(d, e) == sum(x * y for x, y in zip(dense_dual(matrix, d), e))
+
+    @given(forms_and_classes())
+    @example(_DENSE_PAST_2_63)
+    def test_squares_match_dense_product(self, case):
+        matrix, classes = case
+        expected = [sum(x * y for x, y in zip(dense_dual(matrix, d), d)) for d in classes]
+        assert _squares(IntersectionForm(matrix), classes) == expected
+
+    def test_rank_mismatch(self):
+        form = IntersectionForm([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+        with pytest.raises(RankMismatchError, match="^form has rank 3 but class has rank 2$"):
+            form.dual(D([1, 0]))
+        message = "^form has rank 3 but classes have ranks 3 and 4$"
+        with pytest.raises(RankMismatchError, match=message):
+            form.pairing(D([1, 0, 0]), D([1, 0, 0, 0]))
+
+    @pytest.mark.parametrize("surface", ALL_SURFACES, ids=lambda s: s.name)
+    def test_catalog_curve_duals(self, surface):
+        matrix = surface.form.matrix
+        for c in surface.negative_curves + surface.mori_generators:
+            assert surface.form.dual(c) == tuple(dense_dual(matrix, c))
 
 
 class TestEulerCharacteristic:

@@ -260,6 +260,34 @@ def test_validation_errors(build, error, message):
     assert str(info.value) == message
 
 
+def test_intersection_form_reads_only_its_matrix():
+    # The form keeps its diagonal and its nonzero entries above it in
+    # private slots; equality, hash, repr, pickling and copies read the
+    # matrix alone, and no public name is added.
+    matrix = ((-1, 1), (1, 0))
+    form = IntersectionForm([[-1, 1], [1, 0]])
+    assert form.matrix == matrix
+    assert form == IntersectionForm(matrix) and form != IntersectionForm([[-2, 1], [1, 0]])
+    assert form != matrix
+    assert hash(form) == hash(matrix)
+    assert repr(form) == "IntersectionForm([[-1, 1], [1, 0]])"
+    assert form.__reduce__() == (IntersectionForm, (matrix,))
+    assert [name for name in dir(form) if not name.startswith("_")] == [
+        "dual",
+        "matrix",
+        "pairing",
+        "rank",
+    ]
+    for twin in (pickle.loads(pickle.dumps(form)), copy.deepcopy(form), copy.copy(form)):
+        assert type(twin) is IntersectionForm
+        assert twin == form and hash(twin) == hash(form) and repr(twin) == repr(form)
+        assert twin.dual(D([2, 3])) == form.dual(D([2, 3])) == (1, 2)
+    for name in ("matrix", "_diagonal", "_off_diagonal", "other"):
+        with pytest.raises(AttributeError, match="^IntersectionForm is immutable$"):
+            setattr(form, name, None)
+    assert form.dual(D([2, 3])) == (1, 2)
+
+
 def test_surface_equality_ignores_its_kernel():
     built, fresh = make_hirzebruch(2), make_hirzebruch(2)
     assert built is not fresh
